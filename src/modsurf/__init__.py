@@ -26,7 +26,9 @@ from .arithmetic import (
 from .eisenstein import (
     EisensteinParams,
     MaassData,
+    PartialBoundWarning,
     berry_esseen_rhs,
+    berry_esseen_rhs_many,
     eisenstein_eval,
     scattering_phi,
     weyl_compare,

@@ -10,12 +10,18 @@ with xi(s) = pi^{-s/2} Gamma(s/2) zeta(s), scattering coefficient
 phi(t) = xi(1 - 2it)/xi(1 + 2it) (unimodular), and the real divisor sums
 lam_t(n) = sum_{ad=n} (a/d)^{it}.
 
+`eisenstein_eval_many` takes an array of t as a batch axis: the t values
+that share a Fourier length go to `bessel_k_imag_many` in one call, which
+reuses one Bessel kernel per theta-grid.
+
 Empirical Weyl sums integrate E against discrete measures; the exact
 squared Weyl sums for Heegner/geodesic measures come out of the class
 number formula with the gamma factors H_-/H_+, and the two routes are
-compared by `weyl_compare`.  `berry_esseen_rhs` assembles the spectral
-upper bound for the Wasserstein distance, with the cuspidal contribution
-supplied as external data.
+compared by `weyl_compare`.  `berry_esseen_rhs_many` assembles the
+spectral upper bound for the Wasserstein distance from several measures to
+one reference, whose Weyl sums at the t-nodes are computed once per call;
+the cuspidal contribution is supplied as external data, and a bound without
+it is flagged by `PartialBoundWarning`.
 """
 
 from __future__ import annotations
@@ -37,6 +43,7 @@ from .arithmetic import (
     is_fundamental,
 )
 from .specfun import (
+    UnderflowWarning,
     bessel_k_imag_many,
     dirichlet_l,
     h_minus,
@@ -49,6 +56,10 @@ _T_MIN = 1e-6
 
 class FourierTruncationWarning(RuntimeWarning):
     """First omitted Fourier term may exceed the stated tolerance."""
+
+
+class PartialBoundWarning(UserWarning):
+    """The Berry-Esseen bound was evaluated without its cuspidal part."""
 
 
 @dataclass(frozen=True)
@@ -121,41 +132,58 @@ def _auto_n_fourier(y_min: float, t: float) -> int:
     return max(1, math.ceil(max(40.0, abs(t) + 15.0) / (2.0 * math.pi * y_min))) + 1
 
 
-def eisenstein_eval_many(xs: np.ndarray, ys: np.ndarray, t: float,
+def eisenstein_eval_many(xs: np.ndarray, ys: np.ndarray, t,
                          p: EisensteinParams = DEFAULT_PARAMS) -> np.ndarray:
-    """E(z, 1/2 + it) at an array of points; vectorised Fourier expansion."""
-    t = _check_t(t)
+    """E(z, 1/2 + it) at an array of points for a scalar or an array of t.
+
+    The result has shape ``np.shape(t) + xs.shape``.  The t values that
+    share a Fourier length are passed to the Bessel layer in one call.  A
+    call issues at most one ``FourierTruncationWarning``, for its largest
+    omitted-term estimate.
+    """
+    ts = np.asarray(t, dtype=float)
+    flat_ts = [_check_t(v) for v in ts.ravel()]
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     y_min = float(ys.min())
-    n_f = p.n_fourier if p.n_fourier is not None else _auto_n_fourier(y_min, t)
-
-    xi_2s = cmath.exp(_log_xi(complex(1.0, 2.0 * t)))
-    phi = scattering_phi(t)
     sqrt_y = np.sqrt(ys)
     logy = np.log(ys)
-    out = sqrt_y * (np.exp(1j * t * logy) + phi * np.exp(-1j * t * logy))
+    n_fs = np.array([p.n_fourier if p.n_fourier is not None else _auto_n_fourier(y_min, v)
+                     for v in flat_ts])
+    out = np.empty((len(flat_ts),) + xs.shape, dtype=complex)
+    worst_omitted = 0.0
+    for n_f in np.unique(n_fs).tolist():
+        idx = np.flatnonzero(n_fs == n_f)
+        ns = np.arange(1, n_f + 1, dtype=float)
+        with warnings.catch_warnings():
+            # arguments beyond 700 belong to atoms high in the cusp whose
+            # Fourier terms are exact zeros at double precision
+            warnings.simplefilter("ignore", UnderflowWarning)
+            kbs = bessel_k_imag_many([flat_ts[i] for i in idx],
+                                     2.0 * math.pi * np.multiply.outer(ns, ys))
+        cos_nx = np.cos(2.0 * math.pi * np.outer(ns, xs))
+        for i, kb in zip(idx, kbs):
+            t = flat_ts[i]
+            xi_2s = cmath.exp(_log_xi(complex(1.0, 2.0 * t)))
+            phi = scattering_phi(t)
+            val = sqrt_y * (np.exp(1j * t * logy) + phi * np.exp(-1j * t * logy))
+            lam = _divisor_lambdas(n_f, t)
+            fourier = (lam[:, None] * kb * cos_nx).sum(axis=0)
+            val = val + (4.0 / xi_2s) * sqrt_y * fourier
+            out[i] = val
 
-    lam = _divisor_lambdas(n_f, t)
-    ns = np.arange(1, n_f + 1, dtype=float)
-    with warnings.catch_warnings():
-        # arguments beyond 700 belong to atoms high in the cusp whose
-        # Fourier terms are exact zeros at double precision
-        warnings.simplefilter("ignore")
-        kb = bessel_k_imag_many(t, 2.0 * math.pi * np.multiply.outer(ns, ys))
-    fourier = (lam[:, None] * kb * np.cos(2.0 * math.pi * np.outer(ns, xs))).sum(axis=0)
-    out = out + (4.0 / xi_2s) * sqrt_y * fourier
-
-    # estimate the first omitted term from the last included one: in the
-    # exponential regime each n-step loses a factor ~e^{-2 pi y_min}
-    last = 4.0 / abs(xi_2s) * float((sqrt_y * np.abs(lam[-1] * kb[-1])).max())
-    omitted = last * math.exp(-2.0 * math.pi * y_min)
-    if omitted > 1e-12 * float(np.abs(out).max() + 1e-300):
+            # estimate the first omitted term from the last included one: in the
+            # exponential regime each n-step loses a factor ~e^{-2 pi y_min}
+            last = 4.0 / abs(xi_2s) * float((sqrt_y * np.abs(lam[-1] * kb[-1])).max())
+            omitted = last * math.exp(-2.0 * math.pi * y_min)
+            if omitted > 1e-12 * float(np.abs(val).max() + 1e-300):
+                worst_omitted = max(worst_omitted, omitted)
+    if worst_omitted > 0.0:
         warnings.warn(
-            f"first omitted Fourier term ~{omitted:.2e} exceeds 1e-12 of the value",
+            f"first omitted Fourier term ~{worst_omitted:.2e} exceeds 1e-12 of the value",
             FourierTruncationWarning, stacklevel=2,
         )
-    return out
+    return out.reshape(ts.shape + xs.shape)
 
 
 def eisenstein_eval(z, t: float, p: EisensteinParams = DEFAULT_PARAMS) -> complex:
@@ -163,11 +191,15 @@ def eisenstein_eval(z, t: float, p: EisensteinParams = DEFAULT_PARAMS) -> comple
     return complex(eisenstein_eval_many(np.array([z.x]), np.array([z.y]), t, p)[0])
 
 
+def _weyl_sums(m: DiscreteMeasure, ts: np.ndarray, p: EisensteinParams) -> np.ndarray:
+    """Integrals of E(., 1/2 + it) against a discrete measure, one per t in ts."""
+    return (m.weights * eisenstein_eval_many(m.xs, m.ys, ts, p)).sum(axis=1)
+
+
 def weyl_sum_empirical(m: DiscreteMeasure, t: float,
                        p: EisensteinParams = DEFAULT_PARAMS) -> complex:
     """Integral of E(., 1/2 + it) against a discrete measure."""
-    vals = eisenstein_eval_many(m.xs, m.ys, t, p)
-    return complex((m.weights * vals).sum())
+    return complex(_weyl_sums(m, np.array([t]), p)[0])
 
 
 def weyl_sum_exact_sq(D: int, t: float) -> float:
@@ -260,20 +292,22 @@ class BerryEsseenBound:
     is_partial: bool
 
 
-def berry_esseen_rhs(
-    m1: DiscreteMeasure,
-    m2: DiscreteMeasure,
+def berry_esseen_rhs_many(
+    measures: list[DiscreteMeasure],
+    reference: DiscreteMeasure,
     T: float,
     data: MaassData | None = None,
     p: EisensteinParams = DEFAULT_PARAMS,
-) -> BerryEsseenBound:
-    """Spectral upper bound 1/T + sqrt(mu) sqrt(cuspidal + eisenstein).
+) -> list[BerryEsseenBound]:
+    """Spectral upper bound 1/T + sqrt(mu) sqrt(cuspidal + eisenstein) per measure.
 
-    The Eisenstein term is (1/4 pi) int e^{-t^2/T^2}/(1/4+t^2) |Delta E(t)|^2 dt
-    over |t| <= t_max (Gauss-Legendre panels; nodes avoid t = 0), with the
-    Gaussian tail beyond t_max reported as an analytic bound rather than
-    silently dropped.  Without cuspidal data the result is a partial
-    evaluation of the bound, flagged by ``is_partial``.
+    Each bound compares one of ``measures`` with ``reference``, whose Weyl
+    sums are computed once for all of them.  The Eisenstein term is
+    (1/4 pi) int e^{-t^2/T^2}/(1/4+t^2) |Delta E(t)|^2 dt over |t| <= t_max
+    (Gauss-Legendre panels; nodes avoid t = 0), with the Gaussian tail
+    beyond t_max reported as an analytic bound rather than silently
+    dropped.  Without cuspidal data the results are partial evaluations of
+    the bound, flagged by ``is_partial`` and by one ``PartialBoundWarning``.
     """
     if T < 1.0:
         raise ValueError("T must be at least 1")
@@ -281,19 +315,8 @@ def berry_esseen_rhs(
         raise ValueError(f"t_max = {p.t_max} is below 3T = {3*T}")
 
     nodes, wts = gl_panels(0.0, p.t_max, *p.t_quad)
-    sq = np.empty_like(nodes)
-    for i, t in enumerate(nodes):
-        d = weyl_sum_empirical(m1, float(t), p) - weyl_sum_empirical(m2, float(t), p)
-        sq[i] = abs(d) ** 2
+    ref_sums = _weyl_sums(reference, nodes, p)
     weight = np.exp(-(nodes**2) / (T * T)) / (0.25 + nodes**2)
-    # even integrand: both half-lines
-    eis = float(2.0 * (wts * weight * sq).sum() / (4.0 * math.pi))
-
-    # tail bound: |Delta E|^2 <= 2 max computed, Gaussian decay past t_max
-    a = p.t_max
-    m_sq = 2.0 * float(sq.max(initial=0.0))
-    tail = m_sq * math.exp(-a * a / (T * T)) * T * T / (2.0 * a * (0.25 + a * a))
-    tail *= 2.0 / (4.0 * math.pi)
 
     if data is None or len(data.t_f) == 0:
         cusp = 0.0
@@ -301,7 +324,7 @@ def berry_esseen_rhs(
         warnings.warn(
             "no cuspidal data supplied; the bound is a partial evaluation "
             "(Eisenstein part only)",
-            stacklevel=2,
+            PartialBoundWarning, stacklevel=2,
         )
     else:
         w = np.exp(-data.t_f**2 / (T * T)) / (0.25 + data.t_f**2)
@@ -309,12 +332,37 @@ def berry_esseen_rhs(
         partial = False
 
     leading = 1.0 / T
-    total = leading + math.sqrt(SURFACE_AREA) * math.sqrt(cusp + eis)
-    return BerryEsseenBound(
-        leading_term=leading,
-        eisenstein_term=eis,
-        cuspidal_term=cusp,
-        total=total,
-        eisenstein_tail_bound=tail,
-        is_partial=partial,
-    )
+    a = p.t_max
+    bounds = []
+    for m in measures:
+        # Python's scalar abs and ** round differently from np.abs and np.square
+        sq = np.array([abs(d) ** 2 for d in (_weyl_sums(m, nodes, p) - ref_sums).tolist()])
+        # even integrand: both half-lines
+        eis = float(2.0 * (wts * weight * sq).sum() / (4.0 * math.pi))
+
+        # tail bound: |Delta E|^2 <= 2 max computed, Gaussian decay past t_max
+        m_sq = 2.0 * float(sq.max(initial=0.0))
+        tail = m_sq * math.exp(-a * a / (T * T)) * T * T / (2.0 * a * (0.25 + a * a))
+        tail *= 2.0 / (4.0 * math.pi)
+
+        total = leading + math.sqrt(SURFACE_AREA) * math.sqrt(cusp + eis)
+        bounds.append(BerryEsseenBound(
+            leading_term=leading,
+            eisenstein_term=eis,
+            cuspidal_term=cusp,
+            total=total,
+            eisenstein_tail_bound=tail,
+            is_partial=partial,
+        ))
+    return bounds
+
+
+def berry_esseen_rhs(
+    m1: DiscreteMeasure,
+    m2: DiscreteMeasure,
+    T: float,
+    data: MaassData | None = None,
+    p: EisensteinParams = DEFAULT_PARAMS,
+) -> BerryEsseenBound:
+    """The bound of ``berry_esseen_rhs_many`` for the single pair (m1, m2)."""
+    return berry_esseen_rhs_many([m1], m2, T, data, p)[0]

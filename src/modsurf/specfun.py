@@ -2,7 +2,11 @@
 
 Imaginary-order K-Bessel and conical Legendre functions are evaluated by
 quadrature of integral representations (the endpoint singularity of the
-Mehler-Dirichlet formula is removed by a square-root substitution).  The
+Mehler-Dirichlet formula is removed by a square-root substitution).
+`bessel_k_imag_many` takes an array of orders as well as an array of
+arguments: each order's panel count fixes its theta-grid, and the orders
+on one grid share the kernel exp(-x cosh theta), built once per grid with
+only one grid's kernel alive at a time.  The
 Riemann and Hurwitz zeta functions use Euler-Maclaurin summation, valid
 comfortably on Re s >= 1/2 with |Im s| <= 1e3.  Dirichlet L-functions of
 quadratic characters are assembled from Hurwitz zeta values; the gamma
@@ -191,17 +195,22 @@ def dirichlet_l(s: complex, D: int) -> complex:
 _BESSEL_X_MAX = 700.0
 
 
-def _bessel_nodes(tau: float, x_min: float) -> tuple[np.ndarray, np.ndarray]:
-    theta_max = math.acosh(1.0 + 46.0 / x_min)
+def _bessel_panels(tau: float, theta_max: float) -> int:
     h = min(0.5, 2.5 / max(1.0, abs(tau)))
-    n_panels = max(4, math.ceil(theta_max / h))
-    return gl_panels(0.0, theta_max, n_panels, 16)
+    return max(4, math.ceil(theta_max / h))
 
 
-def bessel_k_imag_many(tau: float, xs: np.ndarray) -> np.ndarray:
-    """Vectorised K_{i tau}(x) over an array of positive arguments."""
+def bessel_k_imag_many(tau, xs: np.ndarray) -> np.ndarray:
+    """K_{i tau}(x) for an array of orders and an array of positive arguments.
+
+    The result has shape ``np.shape(tau) + xs.shape``; a scalar order gives
+    an array shaped like ``xs``.  Orders that share a theta-grid share one
+    kernel exp(-x cosh theta), which is built once and freed before the
+    next grid's; each order is then one product with w cos(tau theta).
+    """
+    taus = np.asarray(tau, dtype=float)
     xs = np.asarray(xs, dtype=float)
-    out = np.zeros(xs.shape)
+    out = np.zeros((taus.size, xs.size))
     live = xs <= _BESSEL_X_MAX
     if np.any(xs <= 0.0):
         raise ValueError("bessel_k_imag requires x > 0")
@@ -210,10 +219,18 @@ def bessel_k_imag_many(tau: float, xs: np.ndarray) -> np.ndarray:
                       UnderflowWarning, stacklevel=2)
     if np.any(live):
         xl = xs[live]
-        nodes, wts = _bessel_nodes(tau, float(xl.min()))
-        ker = np.exp(-np.multiply.outer(xl, np.cosh(nodes)))
-        out[live] = ker @ (wts * np.cos(tau * nodes))
-    return out
+        theta_max = math.acosh(1.0 + 46.0 / float(xl.min()))
+        flat_taus = taus.ravel()
+        flat_live = live.ravel()
+        panels = np.array([_bessel_panels(float(t), theta_max) for t in flat_taus])
+        for n_panels in np.unique(panels):
+            nodes, wts = gl_panels(0.0, theta_max, int(n_panels), 16)
+            ker = np.multiply.outer(xl, -np.cosh(nodes))
+            np.exp(ker, out=ker)
+            for i in np.flatnonzero(panels == n_panels):
+                out[i, flat_live] = ker @ (wts * np.cos(flat_taus[i] * nodes))
+            del ker
+    return out.reshape(taus.shape + xs.shape)
 
 
 def bessel_k_imag(tau: float, x: float) -> float:
@@ -246,11 +263,6 @@ def conical_p(t: float, u: float) -> float:
         2.0 * np.sinh(xi - 0.5 * q2) * np.sinh(0.5 * q2)
     )
     return float(math.sqrt(2.0) / math.pi * (w * integrand).sum())
-
-
-def conical_p_many(t: float, us: np.ndarray) -> np.ndarray:
-    """Vectorised conical_p over an array of nonnegative u."""
-    return np.array([conical_p(t, float(u)) for u in np.asarray(us, dtype=float)])
 
 
 # ---------------------------------------------------------------------------

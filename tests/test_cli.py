@@ -1,8 +1,11 @@
 """Tests for the experiment harness: subcommands, config, exit codes."""
 
 import json
+from pathlib import Path
 
 from modsurf.cli import load_config, main
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def run(args, tmp_path, monkeypatch):
@@ -136,6 +139,30 @@ class TestDuke:
         lines = out.read_text().splitlines()
         assert lines[0].startswith("D,W1_estimate,dual_lower_bound")
         assert lines[-1].startswith("slope,")
+
+    def test_two_discriminants_golden_csv(self, tmp_path, monkeypatch):
+        cfgp = tmp_path / "c.ini"
+        cfgp.write_text("[experiment]\ndiscriminants = -4 -8\nbandwidth = 1.0\n"
+                        "[haar]\nn_x = 16\nn_levels = 12\ny_max = 10\n")
+        out = tmp_path / "d.csv"
+        assert run(["duke", "--config", str(cfgp), "--out", str(out)],
+                   tmp_path, monkeypatch) == 0
+        assert out.read_bytes() == (DATA / "duke_two_discriminants.csv").read_bytes()
+
+    def test_missing_maass_data_exit_two(self, tmp_path, monkeypatch, capsys):
+        code = run(["duke", "--maass-data", str(tmp_path / "absent.txt")],
+                   tmp_path, monkeypatch)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "absent.txt" in err
+
+    def test_malformed_maass_data_exit_two(self, tmp_path, monkeypatch, capsys):
+        maass = tmp_path / "m.txt"
+        maass.write_text("9.533 0.01 7\n")
+        code = run(["duke", "--maass-data", str(maass)], tmp_path, monkeypatch)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "malformed" in err
 
     def test_maass_data_ingestion(self, tmp_path, monkeypatch):
         cfgp = tmp_path / "c.ini"

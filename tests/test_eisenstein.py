@@ -6,12 +6,21 @@ import warnings
 import numpy as np
 import pytest
 
-from modsurf.arithmetic import haar_discretization, heegner_measure, DiscreteMeasure
+from modsurf.arithmetic import (
+    DiscreteMeasure,
+    geodesic_measure,
+    haar_discretization,
+    heegner_measure,
+)
 from modsurf.eisenstein import (
     EisensteinParams,
+    FourierTruncationWarning,
     MaassData,
+    PartialBoundWarning,
     berry_esseen_rhs,
+    berry_esseen_rhs_many,
     eisenstein_eval,
+    eisenstein_eval_many,
     scattering_phi,
     weyl_compare,
     weyl_sum_empirical,
@@ -226,3 +235,34 @@ class TestBerryEsseen:
             b = berry_esseen_rhs(m1, m2, 1.0)
         assert b.eisenstein_tail_bound >= 0.0
         assert b.eisenstein_tail_bound < 1e-6 * max(b.eisenstein_term, 1e-30)
+
+
+class TestBatchedT:
+    def test_eval_many_over_t_equals_per_t_calls(self):
+        # y_max = 20 puts Bessel arguments past the clamp; t = 35 needs a
+        # longer Fourier expansion than the others
+        m = haar_discretization(8, 6, 20.0)
+        ts = np.array([0.3, -2.0, 7.5, 14.9, 35.0])
+        batched = eisenstein_eval_many(m.xs, m.ys, ts)
+        assert batched.shape == (5, len(m))
+        for t, row in zip(ts, batched):
+            assert np.array_equal(row, eisenstein_eval_many(m.xs, m.ys, float(t)))
+
+    def test_rhs_many_equals_pairwise(self):
+        grid = haar_discretization(12, 10, 20.0)
+        ms = [heegner_measure(-4), heegner_measure(-23), geodesic_measure(5, 20)]
+        data = MaassData(np.array([9.533]), np.array([0.01]))
+        many = berry_esseen_rhs_many(ms, grid, 2.0, data)
+        assert many == [berry_esseen_rhs(m, grid, 2.0, data) for m in ms]
+
+    def test_truncation_warning_reaches_caller(self):
+        grid = haar_discretization(8, 6, 10.0)
+        data = MaassData(np.array([9.533]), np.array([0.01]))
+        with pytest.warns(FourierTruncationWarning):
+            berry_esseen_rhs_many([heegner_measure(-7)], grid, 1.0, data,
+                                  EisensteinParams(n_fourier=2))
+
+    def test_partial_bound_warning_class(self):
+        with pytest.warns(PartialBoundWarning):
+            bounds = berry_esseen_rhs_many([heegner_measure(-7)], heegner_measure(-8), 1.0)
+        assert bounds[0].is_partial

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from modsurf._gl import gl_panels
 from modsurf.specfun import (
     PoleError,
     UnderflowWarning,
@@ -199,6 +200,32 @@ class TestBesselK:
         many = bessel_k_imag_many(2.0, xs)
         for x, v in zip(xs, many):
             assert abs(bessel_k_imag(2.0, float(x)) - v) < 1e-14
+
+    def test_batched_orders_equal_per_order_calls(self):
+        # at x_min = 0.5 these orders use six theta-grids (11 to 84 panels),
+        # with 0.2 and 3.0 sharing one; 701 and 900 lie past the clamp
+        taus = np.array([0.2, 3.0, 6.5, 12.0, 12.5, 25.0, 40.0])
+        xs = np.array([[0.5, 2.0, 9.0], [30.0, 701.0, 900.0]])
+        with pytest.warns(UnderflowWarning):
+            batched = bessel_k_imag_many(taus, xs)
+        assert batched.shape == (7, 2, 3)
+        assert np.all(batched[:, 1, 1:] == 0.0)
+        for tau, row in zip(taus, batched):
+            with pytest.warns(UnderflowWarning):
+                assert np.array_equal(row, bessel_k_imag_many(float(tau), xs))
+
+    def test_batched_orders_equal_single_order_quadrature(self):
+        def single_order(tau, xs):
+            theta_max = math.acosh(1.0 + 46.0 / xs.min())
+            h = min(0.5, 2.5 / max(1.0, abs(tau)))
+            nodes, wts = gl_panels(0.0, theta_max, max(4, math.ceil(theta_max / h)), 16)
+            ker = np.exp(-np.multiply.outer(xs, np.cosh(nodes)))
+            return ker @ (wts * np.cos(tau * nodes))
+
+        taus = np.array([0.5, 4.0, 9.0, 15.0])
+        xs = 2.0 * math.pi * np.outer(np.arange(1.0, 10.0), [0.9, 1.7, 6.0]).ravel()
+        for tau, row in zip(taus, bessel_k_imag_many(taus, xs)):
+            assert np.array_equal(row, single_order(float(tau), xs))
 
     def test_against_mpmath(self):
         mp = pytest.importorskip("mpmath")
