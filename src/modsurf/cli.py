@@ -454,9 +454,13 @@ def cmd_mollify_check(cfg: ExperimentConfig, out, as_json) -> int:
 
 def cmd_wasserstein(cfg: ExperimentConfig, out, as_json, file1: str, file2: str,
                     plan_out: str | None) -> int:
-    m1 = load_measure(file1)
-    m2 = load_measure(file2)
-    value, plan = w1_exact(m1, m2)
+    measures = []
+    for path in (file1, file2):
+        try:
+            measures.append(load_measure(path))
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot read measure {path}: {exc}") from exc
+    value, plan = w1_exact(*measures)
     if plan_out:
         save_plan(plan, plan_out)
     print(f"W1 = {value:.12g}")

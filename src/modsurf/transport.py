@@ -1,9 +1,9 @@
 """1-Wasserstein distances between discrete measures on the modular surface.
 
-The exact distance solves the transportation LP with a dense network
-(transportation) simplex: spanning-tree basis, potentials recomputed per
-pivot, most-negative entering rule with a switch to Bland's smallest-index
-rule after a degenerate streak, so pivots cannot cycle.  A stabilised
+The exact distance solves the transportation LP by a primal network simplex
+on strongly feasible spanning trees, which cannot cycle; a pivot re-hangs
+and re-prices only the subtree cut off by the leaving arc, and the final
+potentials are returned as a dual certificate.  A stabilised
 Sinkhorn iteration with epsilon scaling and self-transport debiasing
 provides a scalable approximation, and Kantorovich-Rubinstein dual lower
 bounds come from an explicit family of clipped-distance Lipschitz
@@ -44,10 +44,11 @@ class CostMatrix:
 
 @dataclass(frozen=True)
 class TransportPlan:
-    """Coupling matrix with the source/target marginals and its cost."""
+    """Coupling matrix, its cost and w1_exact's dual potentials (u, v), u_i + v_j <= c_ij."""
 
     plan: np.ndarray
     value: float
+    duals: tuple[np.ndarray, np.ndarray] | None = None
 
 
 @dataclass(frozen=True)
@@ -87,143 +88,138 @@ def cost_matrix(m1: DiscreteMeasure, m2: DiscreteMeasure) -> CostMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Transportation simplex
+# Network simplex
 
 
 def _northwest_basis(a: np.ndarray, b: np.ndarray):
-    """Northwest-corner initial basic feasible solution (m + n - 1 cells)."""
+    """Northwest-corner start as a tree rooted at row 0: (parent, flow, order).
+
+    Each cell hangs a new node under the one it shares with the previous
+    cell, the last node added or its parent, so creation order is a preorder.
+    A cell gets zero flow only after a tie, and ties advance the row, so each
+    zero-flow arc is a row's and points toward the root (strong feasibility).
+    """
     m, n = len(a), len(b)
-    flows: dict[tuple[int, int], float] = {}
-    ra = a.copy()
-    rb = b.copy()
+    parent, flow, order = [-1] * (m + n), np.zeros(m + n), [0]
+    ra, rb = a.copy(), b.copy()
     i = j = 0
+    node, parent[m] = m, 0  # column 0 hangs under row 0
     while True:
         q = min(ra[i], rb[j])
-        flows[(i, j)] = q
+        flow[node] = q
+        order.append(node)
         ra[i] -= q
         rb[j] -= q
         if i == m - 1 and j == n - 1:
-            break
-        # on ties advance only one index, keeping the basis a tree
-        if j == n - 1:
+            return parent, flow, np.array(order)
+        # on ties advance only the row, keeping the basis a tree
+        if j == n - 1 or (i < m - 1 and ra[i] <= rb[j]):
             i += 1
-        elif i == m - 1:
-            j += 1
-        elif ra[i] <= rb[j]:
-            i += 1
+            node, parent[i] = i, m + j
         else:
             j += 1
-    return flows
-
-
-def _tree_potentials(basis: set, cost: np.ndarray, m: int, n: int):
-    """Potentials u, v with u_i + v_j = c_ij on the spanning-tree basis."""
-    rows: list[list[tuple[int, int]]] = [[] for _ in range(m)]
-    cols: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for (i, j) in basis:
-        rows[i].append((i, j))
-        cols[j].append((i, j))
-    u = np.full(m, np.nan)
-    v = np.full(n, np.nan)
-    u[0] = 0.0
-    stack = [("r", 0)]
-    while stack:
-        kind, idx = stack.pop()
-        if kind == "r":
-            for (i, j) in rows[idx]:
-                if math.isnan(v[j]):
-                    v[j] = cost[i, j] - u[i]
-                    stack.append(("c", j))
-        else:
-            for (i, j) in cols[idx]:
-                if math.isnan(u[i]):
-                    u[i] = cost[i, j] - v[j]
-                    stack.append(("r", i))
-    return u, v, rows, cols
-
-
-def _tree_cycle(basis_rows, basis_cols, start_i: int, start_j: int):
-    """Alternating path from row start_i to column start_j through the tree."""
-    # BFS over the bipartite tree; nodes ('r', i) and ('c', j)
-    parent: dict[tuple[str, int], tuple[tuple[str, int], tuple[int, int]]] = {}
-    seen = {("r", start_i)}
-    queue = [("r", start_i)]
-    while queue:
-        node = queue.pop(0)
-        kind, idx = node
-        edges = basis_rows[idx] if kind == "r" else basis_cols[idx]
-        for (i, j) in edges:
-            nxt = ("c", j) if kind == "r" else ("r", i)
-            if nxt in seen:
-                continue
-            seen.add(nxt)
-            parent[nxt] = (node, (i, j))
-            if nxt == ("c", start_j):
-                path = []
-                cur = nxt
-                while cur != ("r", start_i):
-                    prev, edge = parent[cur]
-                    path.append(edge)
-                    cur = prev
-                path.reverse()
-                return path
-            queue.append(nxt)
-    raise RuntimeError("basis is not a spanning tree")
+            node, parent[m + j] = m + j, i
 
 
 def w1_exact(m1: DiscreteMeasure, m2: DiscreteMeasure) -> tuple[float, TransportPlan]:
-    """Exact 1-Wasserstein distance and an optimal plan (transportation simplex)."""
+    """Exact 1-Wasserstein distance and an optimal plan (network simplex).
+
+    The basis is a spanning tree on rows 0..m-1 and columns m..m+n-1, rooted
+    at row 0: node k's arc to its parent is cell (k, parent - m) for a row,
+    (parent, k - m) for a column, with flow ``flow[k]``; ``pot`` (u then v)
+    prices tree arcs to zero; k's subtree is ``order[pos[k]:pos[k] + size[k]]``
+    in the preorder ``order``.  The most negative reduced cost enters; the
+    last blocking arc met going round the cycle from its apex along the
+    entering arc leaves (Cunningham), so the tree stays strongly feasible.
+    """
     if len(m1) + len(m2) > _SUPPORT_LIMIT:
         raise ValueError(f"exact solver is limited to {_SUPPORT_LIMIT} atoms combined")
     cost = cost_matrix(m1, m2).entries
-    a = m1.weights.astype(float)
-    b = m2.weights.astype(float)
-    m, n = len(a), len(b)
+    m, n = cost.shape
+    parent, flow, order = _northwest_basis(m1.weights, m2.weights)
+    side = np.r_[np.ones(m), -np.ones(n)]  # +1 rows, -1 columns
+    pot, depth, size = np.zeros(m + n), np.zeros(m + n, dtype=int), np.ones(m + n, dtype=int)
+    pos = np.argsort(order)
+    for k in order[1:]:
+        p = parent[k]
+        pot[k] = cost[(k, p - m) if k < m else (p, k - m)] - pot[p]
+        depth[k] = depth[p] + 1
+    for k in order[:0:-1]:
+        size[parent[k]] += size[k]
 
-    flows = _northwest_basis(a, b)
-    basis = set(flows)
-    max_pivots = 400 * (m + n) + 20_000
-    degenerate_run = 0  # consecutive zero-step pivots; triggers Bland's rule
-    for _ in range(max_pivots):
-        u, v, rows, cols = _tree_potentials(basis, cost, m, n)
-        reduced = cost - u[:, None] - v[None, :]
-        for (i, j) in basis:
-            reduced[i, j] = 0.0
-        rflat = reduced.ravel()
-        if degenerate_run < 64:
-            # Dantzig: most negative reduced cost (argmin is first-of-ties)
-            pos = int(np.argmin(rflat))
-            if rflat[pos] >= -_RC_TOL:
-                break
+    reduced = np.empty((m, n))
+    for _ in range(400 * (m + n) + 20_000):  # pivot bound
+        np.subtract(cost, pot[:m, None], out=reduced)
+        reduced -= pot[None, m:]
+        cell = int(reduced.argmin())
+        rc = reduced.flat[cell]
+        if rc >= -_RC_TOL:
+            break
+        ei, ej = divmod(cell, n)
+        # tree paths from the entering arc's row and column up to their apex
+        up_r, up_c, r, c = [], [], ei, m + ej
+        for _ in range(depth[r] - depth[c]):
+            up_r.append(r)
+            r = parent[r]
+        for _ in range(depth[c] - depth[r]):
+            up_c.append(c)
+            c = parent[c]
+        while r != c:
+            up_r.append(r)
+            up_c.append(c)
+            r, c = parent[r], parent[c]
+        # the cycle from the apex along the entering arc goes down to its row
+        # and up from its column; rows lose flow going down, columns going up
+        down = len(up_r)
+        cycle = np.array(up_r[::-1] + up_c, dtype=int)
+        gain = side[cycle]
+        gain[:down] *= -1.0
+        losing = np.where(gain < 0, flow[cycle], np.inf)
+        last = len(cycle) - 1 - int(losing[::-1].argmin())
+        delta = losing[last]
+        flow[cycle] += delta * gain
+        # the leaving arc cuts off the subtree holding ``sub``, an end of the entering
+        # arc; ``path`` climbs from ``sub`` to the arc's child, and up to the apex
+        # ``shrink`` loses the subtree, ``grow`` gains it
+        if last >= down:
+            path, shrink, grow = cycle[down:last + 1], cycle[last + 1:], cycle[:down]
+            sub, att = m + ej, ei
         else:
-            # Bland: first negative cell in row-major order; cannot cycle
-            neg = np.flatnonzero(rflat < -_RC_TOL)
-            if len(neg) == 0:
-                break
-            pos = int(neg[0])
-        ei, ej = divmod(pos, n)
-        path = _tree_cycle(rows, cols, ei, ej)
-        # cycle: entering edge gets +theta; tree-path edges alternate -,+,...
-        signs = [-1 if k % 2 == 0 else 1 for k in range(len(path))]
-        minus = [e for e, s in zip(path, signs) if s < 0]
-        theta = min(flows[e] for e in minus)
-        leave = min(e for e in minus if flows[e] <= theta + 1e-15)
-        degenerate_run = degenerate_run + 1 if theta <= 1e-15 else 0
-        flows[(ei, ej)] = 0.0
-        for edge, s in zip(path, signs):
-            flows[edge] += s * theta
-        flows[(ei, ej)] += theta
-        basis.add((ei, ej))
-        basis.discard(leave)
-        del flows[leave]
+            path, shrink, grow = cycle[last:down][::-1], cycle[:last], cycle[down:]
+            sub, att = ei, m + ej
+        # re-rooted at ``sub``, the cut subtree's preorder lists, for t = 0, 1, ...,
+        # the part of x_t = path[t]'s old subtree outside x_{t-1}'s, each in old
+        # order; x_t moves from depth depth[sub] - t to depth[att] + 1 + t, and
+        # the potentials shift so that the entering arc prices to zero
+        head, below = pos[path], size[path]
+        s, cut = int(head[-1]), int(below[-1])
+        part = len(path) - np.cumsum(np.bincount(head - s, minlength=cut)
+                                     - np.bincount(head + below - s, minlength=cut + 1)[:cut])
+        old = order[s:s + cut]
+        depth[old] += depth[att] + 1 - depth[sub] + 2 * part
+        pot[old] += (rc if sub < m else -rc) * side[old]
+        size[shrink] -= cut
+        size[grow] += cut
+        size[path[1:]] = cut - below[:-1]
+        size[sub] = cut
+        flow[path[1:]] = flow[path[:-1]]
+        flow[sub] = delta
+        for x, p in zip(path.tolist(), [att] + path[:-1].tolist()):
+            parent[x] = p
+        # move the subtree to just after ``att`` in the preorder
+        rest = np.concatenate((order[:s], order[s + cut:]))
+        at = int(pos[att]) + 1 - (cut if pos[att] > s else 0)
+        order = np.concatenate((rest[:at], old[np.argsort(part, kind="stable")], rest[at:]))
+        pos[order] = np.arange(m + n)
     else:
         raise RuntimeError("transportation simplex exceeded its pivot bound")
 
     plan = np.zeros((m, n))
-    for (i, j), q in flows.items():
-        plan[i, j] = q
+    for k in order[1:]:
+        p = parent[k]
+        plan[(k, p - m) if k < m else (p, k - m)] = flow[k]
     value = float((plan * cost).sum())
-    return value, TransportPlan(plan=plan, value=value)
+    return value, TransportPlan(plan=plan, value=value, duals=(pot[:m].copy(), pot[m:].copy()))
 
 
 # ---------------------------------------------------------------------------

@@ -176,3 +176,24 @@ class TestDuke:
         assert code == 0
         rows = json.loads(out.read_text())
         assert rows[0]["berry_esseen_total"] > 0
+
+
+class TestWassersteinInput:
+    def test_bad_weights_exit_two(self, tmp_path, monkeypatch, capsys):
+        half = tmp_path / "half.txt"
+        half.write_text("0.0 1.0 0.5\n")
+        one = tmp_path / "one.txt"
+        one.write_text("0.0 2.0 1.0\n")
+        code = run(["wasserstein", str(half), str(one)], tmp_path, monkeypatch)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "half.txt" in err and "0.5" in err
+
+    def test_missing_measure_exit_two(self, tmp_path, monkeypatch, capsys):
+        one = tmp_path / "one.txt"
+        one.write_text("0.0 2.0 1.0\n")
+        code = run(["wasserstein", str(one), str(tmp_path / "absent.txt")],
+                   tmp_path, monkeypatch)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "absent.txt" in err

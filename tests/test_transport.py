@@ -5,6 +5,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modsurf import hypgeo as hg
 from modsurf.arithmetic import DiscreteMeasure, heegner_measure
@@ -12,6 +14,7 @@ from modsurf.hypgeo import Point
 from modsurf.transport import (
     DEFAULT_DUAL_FAMILY,
     LipschitzFunction,
+    _northwest_basis,
     best_dual_lower_bound,
     clipped_distance,
     cost_matrix,
@@ -150,6 +153,103 @@ class TestExactSolver:
         m = DiscreteMeasure(xs, ys, np.full(2001, 1.0 / 2001))
         with pytest.raises(ValueError):
             w1_exact(m, DELTA_I)
+
+
+# Reduced points for tiny instances: repeats give duplicated atoms and zero
+# costs, and the mirror pair (+-0.25, 1.3) is equidistant from the imaginary
+# axis, which gives cost ties.
+POOL = [(0.0, 1.0), (0.0, 2.0), (-0.5, math.sqrt(3.0) / 2.0), (0.25, 1.3),
+        (-0.25, 1.3), (0.0, 1.5)]
+
+
+@st.composite
+def tiny_measure(draw):
+    k = draw(st.integers(1, 3))
+    atoms = draw(st.lists(st.sampled_from(POOL), min_size=k, max_size=k))
+    counts = np.array(draw(st.lists(st.integers(1, 3), min_size=k, max_size=k)), float)
+    xs, ys = zip(*atoms)
+    return DiscreteMeasure(np.array(xs), np.array(ys), counts / counts.sum())
+
+
+def tree_plan(parent, flow, m, n):
+    """The plan of a rooted basis tree: a row's arc is (row, parent), a column's (parent, column)."""
+    plan = np.zeros((m, n))
+    for k in range(1, m + n):
+        p = parent[k]
+        plan[(k, p - m) if k < m else (p, k - m)] = flow[k]
+    return plan
+
+
+class TestNetworkSimplex:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(tiny_measure(), tiny_measure())
+    def test_tiny_instances_against_enumeration(self, mA, mB):
+        # w1_exact raises once it passes its pivot bound, so returning means
+        # the run ended below it
+        value, plan = w1_exact(mA, mB)
+        c = cost_matrix(mA, mB).entries
+        assert abs(value - transport_by_enumeration(mA.weights, mB.weights, c)) <= 1e-10
+        assert plan.plan.min() >= 0.0
+        np.testing.assert_allclose(plan.plan.sum(axis=1), mA.weights, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(plan.plan.sum(axis=0), mB.weights, rtol=0, atol=1e-12)
+
+    def test_permutation_of_equal_weights(self):
+        # the northwest start alternates positive and zero flows here, so
+        # nearly every pivot is degenerate
+        rng = np.random.default_rng(40)
+        n = 60
+        base = random_measure(rng, n)
+        perm = rng.permutation(n)
+        mA = DiscreteMeasure(base.xs, base.ys, np.full(n, 1.0 / n))
+        mB = DiscreteMeasure(base.xs[perm], base.ys[perm], np.full(n, 1.0 / n))
+        value, plan = w1_exact(mA, mB)
+        assert value <= 1e-12
+        expected = np.zeros((n, n))
+        expected[perm, np.arange(n)] = 1.0 / n
+        np.testing.assert_allclose(plan.plan, expected, rtol=0, atol=1e-15)
+
+    def test_northwest_start_is_strongly_feasible(self):
+        rng = np.random.default_rng(41)
+        cases = [(np.full(5, 0.2), np.full(5, 0.2)),
+                 (np.full(4, 0.25), np.full(2, 0.5)),
+                 (np.full(2, 0.5), np.full(4, 0.25)),
+                 (np.array([1.0]), np.full(3, 1.0 / 3.0))]
+        for _ in range(20):
+            a = rng.integers(1, 4, rng.integers(1, 8)).astype(float)
+            b = rng.integers(1, 4, rng.integers(1, 8)).astype(float)
+            cases.append((a / a.sum(), b / b.sum()))
+        zero_arcs = 0
+        for a, b in cases:
+            m, n = len(a), len(b)
+            parent, flow, order = _northwest_basis(a, b)
+            assert sorted(order) == list(range(m + n)) and order[0] == 0 and parent[0] == -1
+            # ``order`` is a preorder: each node hangs under the last node or
+            # one of its ancestors (the pop raises IndexError otherwise)
+            chain = [0]
+            for k in order[1:]:
+                while chain[-1] != parent[k]:
+                    chain.pop()
+                chain.append(k)
+            # every zero-flow arc is a row's, so it points toward the root
+            zeros = [k for k in order[1:] if flow[k] == 0.0]
+            assert all(k < m for k in zeros)
+            zero_arcs += len(zeros)
+            plan = tree_plan(parent, flow, m, n)
+            assert plan.min() >= 0.0
+            np.testing.assert_allclose(plan.sum(axis=1), a, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(plan.sum(axis=0), b, rtol=0, atol=1e-15)
+        assert zero_arcs > 0  # the ties above do make degenerate arcs
+
+    @pytest.mark.parametrize("shape, seed", [((12, 9), 42), ((40, 30), 43)])
+    def test_dual_certificate(self, shape, seed):
+        rng = np.random.default_rng(seed)
+        mA = random_measure(rng, shape[0])
+        mB = random_measure(rng, shape[1])
+        value, plan = w1_exact(mA, mB)
+        u, v = plan.duals
+        c = cost_matrix(mA, mB).entries
+        assert (u[:, None] + v[None, :] - c).max() <= 1e-11
+        assert abs(mA.weights @ u + mB.weights @ v - value) <= 1e-12
 
 
 class TestSinkhorn:
