@@ -11,8 +11,10 @@ normalised Haar measure with an explicit cusp-tail atom.
 
 from __future__ import annotations
 
+import ast
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -244,18 +246,21 @@ def pell_fundamental(D: int) -> tuple[int, int]:
     return 2 * x, 2 * y
 
 
+@lru_cache(maxsize=64)
+def _pell_and_length(D: int) -> tuple[int, int, float]:
+    """(t, u, length): the fundamental solution of t^2 - D u^2 = 4 and the
+    common closed-geodesic length 2 log((t + u sqrt(D))/2)."""
+    t, u = pell_fundamental(D)
+    return t, u, 2.0 * math.log((t + u * math.sqrt(D)) / 2.0)
+
+
 def closed_geodesics(D: int) -> list[ClosedGeodesic]:
     """One closed geodesic per narrow class of discriminant D > 0.
 
-    The common length is 2 log((t + u sqrt(D))/2) with (t, u) the
-    fundamental solution of t^2 - D u^2 = 4; the automorph of the form
-    (a, b, c) is ((t - bu)/2, -cu; au, (t + bu)/2).
+    The automorph of the form (a, b, c) is ((t - bu)/2, -cu; au, (t + bu)/2)
+    with (t, u) the fundamental solution of t^2 - D u^2 = 4.
     """
-    _require_fundamental(D)
-    if D <= 0:
-        raise ValueError("closed geodesics require D > 0")
-    t, u = pell_fundamental(D)
-    length = 2.0 * math.log((t + u * math.sqrt(D)) / 2.0)
+    t, u, length = _pell_and_length(D)
     out = []
     for f in reduced_forms(D):
         r = math.sqrt(D)
@@ -426,11 +431,7 @@ def geodesic_measure(D: int, samples_per_unit_length: int) -> DiscreteMeasure:
     """
     if samples_per_unit_length <= 0:
         raise ValueError("sampling rate must be positive")
-    _require_fundamental(D)
-    if D <= 0:
-        raise ValueError("geodesic measures require D > 0")
-    t, u = pell_fundamental(D)
-    length = 2.0 * math.log((t + u * math.sqrt(D)) / 2.0)
+    _t, _u, length = _pell_and_length(D)
     n = max(2, math.ceil(length * samples_per_unit_length))
     xs, ys = [], []
     for cycle in _form_cycles(D):
@@ -488,7 +489,12 @@ def load_measure(path: str) -> DiscreteMeasure:
                 continue
             if line.startswith("#"):
                 if "label=" in line:
-                    label = line.split("label=", 1)[1].split(" atoms=")[0].strip("'\"")
+                    # the label is a repr, and " atoms=N" always ends the header
+                    text = line.split("label=", 1)[1].rsplit(" atoms=", 1)[0]
+                    try:
+                        label = ast.literal_eval(text)
+                    except SyntaxError as exc:
+                        raise ValueError(f"malformed measure header: {line}") from exc
                 continue
             sx, sy, sw = line.split()
             xs.append(float(sx))

@@ -67,7 +67,7 @@ from .eisenstein import (
     berry_esseen_rhs_many,
     weyl_compare,
 )
-from .hypgeo import Point
+from .hypgeo import Point, sinh_half_rho
 from .specfun import dirichlet_l
 from .transform import TransformParams
 from .transport import best_dual_lower_bound, clipped_distance, save_plan, w1_exact
@@ -352,15 +352,10 @@ def cmd_weyl_compare(cfg: ExperimentConfig, out, as_json) -> int:
 def _haar_mesh_bound(n_x: int, n_levels: int, y_max: float) -> float:
     """Hyperbolic diameter of the largest discretisation cell."""
     edges = np.linspace(-0.5, 0.5, n_x + 1)
-    worst = 0.0
-    for x0, x1 in zip(edges[:-1], edges[1:]):
-        xc = 0.5 * (x0 + x1)
-        v = np.linspace(1.0 / y_max, 1.0 / math.sqrt(1.0 - xc * xc), n_levels + 1)
-        y_hi = 1.0 / v[:-1]
-        y_lo = 1.0 / v[1:]
-        d = 2.0 * np.arcsinh(0.5 * np.hypot(x1 - x0, y_hi - y_lo) / np.sqrt(y_lo * y_hi))
-        worst = max(worst, float(d.max()))
-    return worst
+    xc = 0.5 * (edges[:-1] + edges[1:])
+    v = np.linspace(1.0 / y_max, 1.0 / np.sqrt(1.0 - xc * xc), n_levels + 1)
+    s = sinh_half_rho(edges[1:], 1.0 / v[:-1], edges[:-1], 1.0 / v[1:])
+    return float(2.0 * np.arcsinh(s).max())
 
 
 def cmd_duke(cfg: ExperimentConfig, out, as_json) -> int:

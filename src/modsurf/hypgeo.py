@@ -7,6 +7,15 @@ distance, the point-pair invariant ``u = sinh^2(rho/2)``, reduction to the
 standard fundamental domain, the quotient distance, cusp height, geodesic
 polar coordinates, and an exact-in-measure quadrature grid over the
 fundamental domain.
+
+The orbit geometry has one array form, used by every module of the
+package: ``mobius_image`` gives the image of a point array under a matrix
+(a, b; c, d) in real arithmetic, ``sinh_half_rho`` gives sinh(rho/2) for
+point pairs and ``pair_u`` gives u.  ``surface_distance_matrix`` holds the
+only minimum over ``NEIGHBOR_MATS``; ``surface_distance_to_point`` and
+``surface_distance`` wrap it.  The Point forms ``mobius_apply`` and
+``distance`` use complex and scalar arithmetic instead, so the test
+oracles built on them stay an independent route.
 """
 
 from __future__ import annotations
@@ -110,9 +119,7 @@ def distance(z: Point, w: Point) -> float:
 
 def point_pair_u(z: Point, w: Point) -> float:
     """Point-pair invariant u(z, w) = |z - w|^2 / (4 Im z Im w) = sinh^2(rho/2)."""
-    dx = z.x - w.x
-    dy = z.y - w.y
-    return (dx * dx + dy * dy) / (4.0 * z.y * w.y)
+    return pair_u(z.x, z.y, w.x, w.y)
 
 
 def reduce(z: Point) -> SurfacePoint:
@@ -157,43 +164,25 @@ def reduce(z: Point) -> SurfacePoint:
     raise DegeneratePointError(f"reduction of {z} did not terminate")
 
 
+def canonical_sign(a: int, b: int, c: int, d: int) -> tuple[int, int, int, int]:
+    """The representative of the pair +-(a, b; c, d), which act identically."""
+    return max((a, b, c, d), (-a, -b, -c, -d))
+
+
 def _neighbor_tuples(bound: int = 2) -> list[tuple[int, int, int, int]]:
     """All unimodular matrices with entries in [-bound, bound], one per +-pair."""
-    mats = set()
     rng = range(-bound, bound + 1)
-    for a, b, c, d in product(rng, rng, rng, rng):
-        if a * d - b * c != 1:
-            continue
-        if (a, b, c, d) < (-a, -b, -c, -d):
-            a, b, c, d = -a, -b, -c, -d
-        mats.add((a, b, c, d))
-    return sorted(mats)
+    return sorted({canonical_sign(a, b, c, d)
+                   for a, b, c, d in product(rng, repeat=4) if a * d - b * c == 1})
 
 
 NEIGHBOR_MATS = _neighbor_tuples(2)
-_NB = np.array(NEIGHBOR_MATS, dtype=float)  # shape (n, 4), columns a, b, c, d
 
 
 def surface_distance(z: Point, w: Point) -> float:
-    """Distance on the modular surface: min over gamma of rho(z, gamma w).
-
-    Both points are reduced first; the minimum is then taken over the
-    identity plus all unimodular matrices with entries bounded by 2, which
-    suffices for fundamental-domain representatives.
-    """
-    rz = reduce(z).point
+    """Distance on the modular surface: min over gamma of rho(z, gamma w)."""
     rw = reduce(w).point
-    best = math.inf
-    for a, b, c, d in NEIGHBOR_MATS:
-        den = complex(c * rw.x + d, c * rw.y)
-        num = complex(a * rw.x + b, a * rw.y)
-        g = num / den
-        dx = rz.x - g.real
-        dy = rz.y - g.imag
-        s = 0.5 * math.hypot(dx, dy) / math.sqrt(rz.y * g.imag)
-        if s < best:
-            best = s
-    return 2.0 * math.asinh(best)
+    return float(surface_distance_to_point(np.array([rw.x]), np.array([rw.y]), z)[0])
 
 
 def height(z: Point) -> float:
@@ -241,32 +230,56 @@ def reduce_batch(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return x, y
 
 
+def mobius_image(a, b, c, d, xs, ys) -> tuple[np.ndarray, np.ndarray]:
+    """Image (gx, gy) of the points xs + i ys under z -> (az + b)/(cz + d).
+
+    Real arithmetic throughout; the matrix entries and the coordinates
+    broadcast against each other.
+    """
+    den = c * xs + d
+    den2 = den**2 + (c * ys) ** 2
+    return ((a * xs + b) * den + a * c * ys**2) / den2, ys / den2
+
+
+def sinh_half_rho(x1, y1, x2, y2) -> np.ndarray:
+    """sinh(rho/2) = |z - w| / (2 sqrt(Im z Im w)) for z = x1 + i y1, w = x2 + i y2.
+
+    Broadcasts; the distance rho(z, w) is 2 arsinh of it.  Distances use
+    this form and kernels use ``pair_u``: the two round differently in the
+    last bit, and each keeps its callers' results unchanged.
+    """
+    s = 0.5 * np.hypot(x1 - x2, y1 - y2)
+    s /= np.sqrt(y1 * y2)
+    return s
+
+
+def pair_u(x1, y1, x2, y2):
+    """u = |z - w|^2 / (4 Im z Im w) for z = x1 + i y1, w = x2 + i y2; broadcasts."""
+    dx, dy = x1 - x2, y1 - y2
+    return (dx * dx + dy * dy) / (4.0 * y1 * y2)
+
+
 def surface_distance_to_point(xs: np.ndarray, ys: np.ndarray, z0: Point) -> np.ndarray:
     """Vectorised surface distance from reduced points (xs, ys) to z0."""
     rz = reduce(z0).point
-    a = _NB[:, 0][:, None]
-    b = _NB[:, 1][:, None]
-    c = _NB[:, 2][:, None]
-    d = _NB[:, 3][:, None]
-    den2 = (c * xs[None, :] + d) ** 2 + (c * ys[None, :]) ** 2
-    gx = ((a * xs[None, :] + b) * (c * xs[None, :] + d) + a * c * ys[None, :] ** 2) / den2
-    gy = ys[None, :] / den2
-    s = 0.5 * np.hypot(gx - rz.x, gy - rz.y) / np.sqrt(gy * rz.y)
-    return 2.0 * np.arcsinh(s.min(axis=0))
+    return surface_distance_matrix([rz.x], [rz.y], xs, ys)[0]
 
 
-def surface_distance_matrix(
-    xs1: np.ndarray, ys1: np.ndarray, xs2: np.ndarray, ys2: np.ndarray
-) -> np.ndarray:
-    """All pairwise surface distances between two reduced atom sets."""
-    m, n = len(xs1), len(xs2)
-    best = np.full((m, n), np.inf)
+def surface_distance_matrix(xs1, ys1, xs2, ys2) -> np.ndarray:
+    """All pairwise surface distances between two reduced atom sets.
+
+    For fundamental-domain representatives the minimum of rho(z, gamma w)
+    over SL(2, Z) is attained within ``NEIGHBOR_MATS``; it is taken one
+    matrix at a time, so the working set is a single m x n slice.
+    """
+    xs1, ys1, xs2, ys2 = (np.asarray(v, dtype=float) for v in (xs1, ys1, xs2, ys2))
+    best = np.full((len(xs1), len(xs2)), np.inf)
     for a, b, c, d in NEIGHBOR_MATS:
-        den2 = (c * xs2 + d) ** 2 + (c * ys2) ** 2
-        gx = ((a * xs2 + b) * (c * xs2 + d) + a * c * ys2**2) / den2
-        gy = ys2 / den2
-        s = 0.5 * np.hypot(xs1[:, None] - gx[None, :], ys1[:, None] - gy[None, :])
-        s /= np.sqrt(ys1[:, None] * gy[None, :])
+        gx, gy = mobius_image(a, b, c, d, xs2, ys2)
+        # s stays bound until the next slice replaces it: freeing each slice
+        # at once lets malloc hand its pages back and fault them in again,
+        # which made 385 x 1201 about 1.6x slower
+        s = sinh_half_rho(xs1[:, None], ys1[:, None], gx, gy)
         np.minimum(best, s, out=best)
     return 2.0 * np.arcsinh(best)
 

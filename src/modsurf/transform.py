@@ -14,7 +14,10 @@ conical function; the two are compared in the tests.
 
 The automorphic kernel sums k over the group; group elements are found by
 a breadth-first search over fundamental-domain tiles, pruned to the
-hyperbolic ball where k is above the truncation threshold.
+hyperbolic ball where k is above the truncation threshold.  The Mobius
+images gamma w and the point-pair quantities come from ``hypgeo``:
+``mobius_image``, ``sinh_half_rho`` for the tile search, ``pair_u`` for
+the kernel sums.
 """
 
 from __future__ import annotations
@@ -27,7 +30,8 @@ from functools import lru_cache
 import numpy as np
 
 from ._gl import gl_panels
-from .hypgeo import GEN_S, GEN_T, Point, fundamental_domain_grid, reduce
+from .hypgeo import (GEN_S, GEN_T, Point, canonical_sign, fundamental_domain_grid,
+                     mobius_image, pair_u, reduce, sinh_half_rho)
 from .specfun import conical_p
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -122,7 +126,6 @@ class TransformParams:
 
     T: float
     u_cutoff: float
-    quad_tol: float = 1e-10
 
     def __post_init__(self):
         if self.T < 1.0:
@@ -163,15 +166,9 @@ class _KernelTable:
         return float(self.rho[below[0]]) if len(below) else float(self.rho[-1])
 
 
-_TABLES: dict[float, _KernelTable] = {}
-
-
+@lru_cache(maxsize=16)
 def _kernel_table(T: float) -> _KernelTable:
-    tab = _TABLES.get(T)
-    if tab is None:
-        tab = _KernelTable(T)
-        _TABLES[T] = tab
-    return tab
+    return _KernelTable(T)
 
 
 # ---------------------------------------------------------------------------
@@ -232,29 +229,16 @@ def arsinh_moment(params: "TransformParams", n_panels: int = 12,
 _BFS_MARGIN = 1.3
 _MAX_TILES = 600_000
 
-_GEN_TUPLES = [
-    (GEN_T.a, GEN_T.b, GEN_T.c, GEN_T.d),
-    (GEN_T.inverse().a, GEN_T.inverse().b, GEN_T.inverse().c, GEN_T.inverse().d),
-    (GEN_S.a, GEN_S.b, GEN_S.c, GEN_S.d),
-]
+_GEN_TUPLES = [(g.a, g.b, g.c, g.d) for g in (GEN_T, GEN_T.inverse(), GEN_S)]
 
 
-def _canon(a: int, b: int, c: int, d: int) -> tuple[int, int, int, int]:
-    if (a, b, c, d) < (-a, -b, -c, -d):
-        return -a, -b, -c, -d
-    return a, b, c, d
-
-
-def _domain_samples(y_high: float) -> np.ndarray:
+def _domain_samples(y_high: float) -> tuple[np.ndarray, np.ndarray]:
     ys = [math.sqrt(3.0) / 2.0]
     while ys[-1] < y_high:
         ys.append(ys[-1] * 2.0)
-    pts = [complex(0.0, y) for y in ys]
-    pts += [complex(-0.5, y) for y in ys]
-    pts += [complex(0.5, y) for y in ys]
-    pts.append(complex(-0.5, math.sqrt(3.0) / 2.0))
-    pts.append(complex(0.5, math.sqrt(3.0) / 2.0))
-    return np.array(pts)
+    xs = [0.0] * len(ys) + [-0.5] * len(ys) + [0.5] * len(ys) + [-0.5, 0.5]
+    ys += ys + ys + [math.sqrt(3.0) / 2.0] * 2
+    return np.array(xs), np.array(ys)
 
 
 def ball_tiles(z: Point, rho_ball: float, y_high: float) -> np.ndarray:
@@ -267,8 +251,7 @@ def ball_tiles(z: Point, rho_ball: float, y_high: float) -> np.ndarray:
 
     Returns an integer array of shape (n, 4).
     """
-    samples = _domain_samples(max(y_high, 2.0))
-    zc = complex(z.x, z.y)
+    sx, sy = _domain_samples(max(y_high, 2.0))
     thresh = rho_ball + _BFS_MARGIN
     sinh_half_lim = math.sinh(0.5 * thresh)
 
@@ -276,14 +259,9 @@ def ball_tiles(z: Point, rho_ball: float, y_high: float) -> np.ndarray:
     accepted = []
     frontier = [(1, 0, 0, 1)]
     while frontier:
-        mats = np.array(frontier, dtype=np.int64)
-        a = mats[:, 0:1].astype(float)
-        b = mats[:, 1:2].astype(float)
-        c = mats[:, 2:3].astype(float)
-        d = mats[:, 3:4].astype(float)
-        gw = (a * samples[None, :] + b) / (c * samples[None, :] + d)
-        s = 0.5 * np.abs(gw - zc) / np.sqrt(gw.imag * z.y)
-        near = (s < sinh_half_lim).any(axis=1)
+        mats = np.array(frontier, dtype=float)
+        gx, gy = mobius_image(*(mats[:, i:i + 1] for i in range(4)), sx, sy)
+        near = (sinh_half_rho(gx, gy, z.x, z.y) < sinh_half_lim).any(axis=1)
         next_frontier = []
         for row, ok in zip(frontier, near):
             if not ok:
@@ -291,7 +269,7 @@ def ball_tiles(z: Point, rho_ball: float, y_high: float) -> np.ndarray:
             accepted.append(row)
             ra, rb, rc, rd = row
             for ga, gb, gc, gd in _GEN_TUPLES:
-                child = _canon(
+                child = canonical_sign(
                     ra * ga + rb * gc, ra * gb + rb * gd,
                     rc * ga + rd * gc, rc * gb + rd * gd,
                 )
@@ -319,10 +297,8 @@ def automorphic_kernel(z: Point, w: Point, params: "TransformParams") -> float:
     rho_ball = 2.0 * math.asinh(math.sqrt(params.u_cutoff))
     y_high = max(50.0, zr.y * math.exp(rho_ball) * 1.05)
     mats = ball_tiles(zr, rho_ball, y_high)
-    wc = complex(wr.x, wr.y)
-    a, b, c, d = (mats[:, i].astype(float) for i in range(4))
-    gw = (a * wc + b) / (c * wc + d)
-    u = (np.abs(gw - complex(zr.x, zr.y)) ** 2) / (4.0 * gw.imag * zr.y)
+    gx, gy = mobius_image(*mats.T.astype(float), wr.x, wr.y)
+    u = pair_u(gx, gy, zr.x, zr.y)
     u = u[u <= params.u_cutoff]
     return float(tab.eval_u(u).sum())
 
@@ -348,27 +324,23 @@ def kernel_mass_on_surface(
     tab = _kernel_table(params.T)
     zr = reduce(z).point
     xs, ys, wmu = fundamental_domain_grid(n_x, n_levels, y_cut)
-    ws = xs + 1j * ys
-    zc = complex(zr.x, zr.y)
 
     rho_tile = tab.rho_at_level(tile_level)
     y_high = max(y_cut * 1.05, zr.y * math.exp(rho_tile) * 1.05)
     mats = ball_tiles(zr, rho_tile, y_high)
 
     mass = 0.0
-    top = np.linspace(-0.45, 0.45, 7) + 1j * y_cut  # probes for the cusp-tail bound
+    top = np.linspace(-0.45, 0.45, 7)  # probes at height y_cut for the cusp-tail bound
     k_top = np.zeros(top.shape)
     u_lim = math.sinh(0.5 * rho_tile) ** 2
-    for row in mats:
-        a, b, c, d = (float(v) for v in row)
-        gw = (a * ws + b) / (c * ws + d)
-        u = (np.abs(gw - zc) ** 2) / (4.0 * gw.imag * zr.y)
+    for row in mats.astype(float):
+        gx, gy = mobius_image(*row, xs, ys)
+        u = pair_u(gx, gy, zr.x, zr.y)
         sel = u <= u_lim
         if np.any(sel):
             mass += float(wmu[sel] @ tab.eval_u(u[sel]))
-        gt = (a * top + b) / (c * top + d)
-        ut = (np.abs(gt - zc) ** 2) / (4.0 * gt.imag * zr.y)
-        k_top += tab.eval_u(ut)
+        gx, gy = mobius_image(*row, top, y_cut)
+        k_top += tab.eval_u(pair_u(gx, gy, zr.x, zr.y))
 
     # cusp tail above y_cut: mu(F(y_cut)) = 1/y_cut times the kernel sup
     # there; K at the probes is the full group sum accumulated above

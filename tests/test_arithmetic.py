@@ -2,6 +2,7 @@
 
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -246,6 +247,17 @@ class TestSerialisation:
         save_measure(m, path)
         m2 = load_measure(path)
         assert m2.label == m.label
+        assert np.array_equal(m.xs, m2.xs)
+        assert np.array_equal(m.ys, m2.ys)
+        assert np.array_equal(m.weights, m2.weights)
+
+    @pytest.mark.parametrize("label", ["a atoms=3 b", "'q'", "x\ny"])
+    def test_label_round_trip(self, tmp_path, label):
+        m = replace(heegner_measure(-23), label=label)
+        path = os.path.join(tmp_path, "m.txt")
+        save_measure(m, path)
+        m2 = load_measure(path)
+        assert m2.label == label
         assert np.array_equal(m.xs, m2.xs)
         assert np.array_equal(m.ys, m2.ys)
         assert np.array_equal(m.weights, m2.weights)

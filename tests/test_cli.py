@@ -127,6 +127,14 @@ class TestMeasureCommands:
         assert 0.0 < value < 3.0
 
 
+class TestMollifyCheck:
+    def test_default_golden_csv(self, tmp_path, monkeypatch):
+        # pins surface_distance_to_point, which clipped_distance evaluates
+        out = tmp_path / "m.csv"
+        assert run(["mollify-check", "--out", str(out)], tmp_path, monkeypatch) == 0
+        assert out.read_bytes() == (DATA / "mollify_check_seed0.csv").read_bytes()
+
+
 class TestDuke:
     def test_two_discriminants(self, tmp_path, monkeypatch):
         cfgp = tmp_path / "c.ini"
@@ -197,3 +205,11 @@ class TestWassersteinInput:
         assert code == 2
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and "absent.txt" in err
+
+    def test_malformed_label_exit_two(self, tmp_path, monkeypatch, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("# modsurf-measure label=no quotes atoms=1\n0.0 2.0 1.0\n")
+        code = run(["wasserstein", str(bad), str(bad)], tmp_path, monkeypatch)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "bad.txt" in err

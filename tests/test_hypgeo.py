@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modsurf import hypgeo as hg
 from modsurf.hypgeo import (
@@ -193,6 +195,40 @@ class TestSurfaceDistance:
             for j in range(6):
                 d = surface_distance(Point(xs1[i], ys1[i]), Point(xs2[j], ys2[j]))
                 assert abs(mat[i, j] - d) < 1e-12
+
+
+# points of the fundamental domain as x and the height above its floor arc
+# (near the arc the nearest image of a point is often not the point itself),
+# and words in S, T, T^-1
+COORDS = st.builds(lambda x, h: (x, math.sqrt(1.0 - x * x) + h),
+                   st.floats(-0.5, 0.5), st.floats(0.0, 1.5))
+WORDS = st.lists(st.sampled_from([GEN_S, GEN_T, GEN_T.inverse()]), max_size=8)
+
+
+class TestSurfaceDistanceMatrixProperties:
+    """The one neighbour minimum, against symmetry, the group action and the oracle."""
+
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(st.lists(COORDS, min_size=1, max_size=2), st.lists(COORDS, min_size=1, max_size=2),
+           WORDS)
+    def test_symmetric_invariant_and_oracle(self, pts1, pts2, word):
+        xs1, ys1 = hg.reduce_batch(*np.array(pts1).T)
+        xs2, ys2 = hg.reduce_batch(*np.array(pts2).T)
+        mat = hg.surface_distance_matrix(xs1, ys1, xs2, ys2)
+        np.testing.assert_allclose(hg.surface_distance_matrix(xs2, ys2, xs1, ys1), mat.T,
+                                   rtol=0, atol=1e-12)
+
+        g = hg.IDENTITY
+        for h in word:
+            g = g @ h
+        moved = [mobius_apply(g, Point(x, y)) for x, y in pts2]
+        gx, gy = hg.reduce_batch(np.array([p.x for p in moved]), np.array([p.y for p in moved]))
+        np.testing.assert_allclose(hg.surface_distance_matrix(xs1, ys1, gx, gy), mat,
+                                   rtol=0, atol=1e-9)
+
+        for i, j in np.ndindex(mat.shape):
+            oracle = brute_force_surface_distance(Point(xs1[i], ys1[i]), Point(xs2[j], ys2[j]))
+            assert abs(mat[i, j] - oracle) < 1e-12
 
 
 class TestHeight:
