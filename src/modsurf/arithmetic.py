@@ -329,21 +329,6 @@ def heegner_measure(D: int) -> DiscreteMeasure:
     )
 
 
-def geodesic_path_points(geo: ClosedGeodesic, samples_per_unit_length: int) -> np.ndarray:
-    """Equal-arclength sample points along one period, as unreduced complex numbers.
-
-    The geodesic is the semicircle through the form's real endpoints; with
-    arclength parameter s the polar angle is theta = 2 arctan(e^s), and one
-    period has length ``geo.length``.
-    """
-    center = 0.5 * (geo.endpoints[0] + geo.endpoints[1])
-    radius = 0.5 * abs(geo.endpoints[1] - geo.endpoints[0])
-    n = max(2, math.ceil(geo.length * samples_per_unit_length))
-    s = (np.arange(n) + 0.5) * (geo.length / n)
-    theta = 2.0 * np.arctan(np.exp(s))
-    return center + radius * np.exp(1j * theta)
-
-
 def _apex(f: QuadraticForm, D: int) -> tuple[float, float]:
     return -f.b / (2.0 * f.a), math.sqrt(D) / (2.0 * abs(f.a))
 

@@ -17,7 +17,10 @@ a breadth-first search over fundamental-domain tiles, pruned to the
 hyperbolic ball where k is above the truncation threshold.  The Mobius
 images gamma w and the point-pair quantities come from ``hypgeo``:
 ``mobius_image``, ``sinh_half_rho`` for the tile search, ``pair_u`` for
-the kernel sums.
+the kernel sums.  The surface mass of the kernel also takes the preimages
+gamma^-1 z of the base point from ``mobius_image``, one call for all tiles
+with gamma^-1 = (d, -b; -c, a), and evaluates each tile only on the grid
+nodes inside the ball around its preimage.
 """
 
 from __future__ import annotations
@@ -303,6 +306,11 @@ def automorphic_kernel(z: Point, w: Point, params: "TransformParams") -> float:
     return float(tab.eval_u(u).sum())
 
 
+# Relative widening of u_lim for the nodes kernel_mass_on_surface selects, far
+# above the rounding of either route, so no node with u <= u_lim is missed.
+_SELECT_MARGIN = 1e-9
+
+
 def kernel_mass_on_surface(
     z: Point,
     params: "TransformParams",
@@ -319,7 +327,16 @@ def kernel_mass_on_surface(
     and an error bound combining the cusp tail above ``y_cut`` with the
     dropped k-tail beyond the tile radius.
 
-    Runtime scales with (number of tiles) x (grid size).
+    As u(z, gamma w) = u(gamma^-1 z, w), a tile's nodes with u <= u_lim lie
+    in B(gamma^-1 z, rho_tile): for gamma^-1 z = x0 + i y0 the Euclidean disk
+    with centre (x0, y0 cosh rho_tile) and radius y0 sinh rho_tile.  Tiles
+    whose disk misses the grid are skipped.  The grid is evenly spaced in
+    v = 1/y down each column, so the disk, widened by ``_SELECT_MARGIN``,
+    meets a column in one range of levels, found in closed form.  On the
+    box of these levels u is computed from gamma w and filtered exactly as
+    over the whole grid, in ascending node order: each dot product sees the
+    same elements in the same order, so the mass is bit-identical to
+    folding every tile over the whole grid.
     """
     tab = _kernel_table(params.T)
     zr = reduce(z).point
@@ -327,23 +344,47 @@ def kernel_mass_on_surface(
 
     rho_tile = tab.rho_at_level(tile_level)
     y_high = max(y_cut * 1.05, zr.y * math.exp(rho_tile) * 1.05)
-    mats = ball_tiles(zr, rho_tile, y_high)
-
-    mass = 0.0
-    top = np.linspace(-0.45, 0.45, 7)  # probes at height y_cut for the cusp-tail bound
-    k_top = np.zeros(top.shape)
+    mats = ball_tiles(zr, rho_tile, y_high).astype(float)
     u_lim = math.sinh(0.5 * rho_tile) ** 2
-    for row in mats.astype(float):
-        gx, gy = mobius_image(*row, xs, ys)
+
+    # fundamental_domain_grid puts level l of a column at v = 1/y_cut + (l + 1/2) v_step
+    x_col = xs[:n_x]
+    v_step = (1.0 / np.sqrt(1.0 - x_col * x_col) - 1.0 / y_cut) / n_levels
+    # the widened preimage disks: centre (px, cy), radius r
+    a, b, c, d = mats.T
+    px, py = mobius_image(d, -b, -c, a, zr.x, zr.y)
+    u_sel = u_lim * (1.0 + _SELECT_MARGIN)
+    cy = py * (1.0 + 2.0 * u_sel)
+    r = py * (2.0 * math.sqrt(u_sel * (1.0 + u_sel)))
+    c0 = np.searchsorted(x_col, px - r)
+    c1 = np.searchsorted(x_col, px + r, side="right")
+    hit = (c0 < c1) & (cy + r >= ys.min()) & (py * py / (cy + r) <= ys.max())
+
+    y2, w2 = ys.reshape(n_levels, n_x), wmu.reshape(n_levels, n_x)
+    mass = 0.0
+    for t in np.flatnonzero(hit):
+        cols = slice(c0[t], c1[t])
+        dx = x_col[cols] - px[t]
+        # the disk's chord in column x runs from y = q / y_top up to y_top
+        y_top = cy[t] + np.sqrt(np.maximum(r[t] * r[t] - dx * dx, 0.0))
+        q = dx * dx + py[t] * py[t]
+        lo = np.ceil((1.0 / y_top - 1.0 / y_cut) / v_step[cols] - 0.5).min()
+        hi = np.floor((y_top / q - 1.0 / y_cut) / v_step[cols] - 0.5).max()
+        # the box of levels lo..hi over these columns holds every candidate;
+        # read row by row, it is in ascending node order as in the full grid
+        box = (slice(max(int(lo), 0), min(int(hi), n_levels - 1) + 1), cols)
+        gx, gy = mobius_image(*mats[t], x_col[cols], y2[box])
         u = pair_u(gx, gy, zr.x, zr.y)
         sel = u <= u_lim
         if np.any(sel):
-            mass += float(wmu[sel] @ tab.eval_u(u[sel]))
-        gx, gy = mobius_image(*row, top, y_cut)
-        k_top += tab.eval_u(pair_u(gx, gy, zr.x, zr.y))
+            mass += float(w2[box][sel] @ tab.eval_u(u[sel]))
 
     # cusp tail above y_cut: mu(F(y_cut)) = 1/y_cut times the kernel sup
-    # there; K at the probes is the full group sum accumulated above
+    # there; K at the probes is the full group sum, added tile by tile as
+    # the sum over axis 0 runs row by row
+    top = np.linspace(-0.45, 0.45, 7)
+    gx, gy = mobius_image(*(mats[:, i:i + 1] for i in range(4)), top, y_cut)
+    k_top = tab.eval_u(pair_u(gx, gy, zr.x, zr.y)).sum(axis=0)
     tail_cusp = float(k_top.max()) / y_cut
     # dropped k-tail beyond the tile radius: 4 pi int_{u_lim}^inf k du
     rho_hi = 12.0 / params.T + 3.0

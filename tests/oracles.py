@@ -3,8 +3,9 @@
 Each oracle deliberately takes a different route from the implementation
 it checks: a second integral representation for the conical function, a
 brute-force group sweep for the quotient distance, direct quadrature for
-the inner sine integral, basis enumeration for small transport LPs, and
-plain Dirichlet series for L-functions.
+the inner sine integral, basis enumeration for small transport LPs, plain
+Dirichlet series for L-functions, every tile folded over the whole grid for
+the kernel mass, and the arclength parametrisation of a closed geodesic.
 """
 
 from __future__ import annotations
@@ -15,8 +16,11 @@ from itertools import combinations
 import numpy as np
 
 from modsurf._gl import gl_panels
-from modsurf.hypgeo import Point, distance, mobius_apply
+from modsurf.arithmetic import ClosedGeodesic
+from modsurf.hypgeo import (Point, distance, fundamental_domain_grid, mobius_apply, mobius_image,
+                            pair_u, reduce)
 from modsurf.specfun import kronecker_symbol
+from modsurf.transform import _kernel_table, ball_tiles, k_of_rho
 
 
 def laplace_conical_p(t: float, u: float, n: int = 4000) -> float:
@@ -97,3 +101,53 @@ def dirichlet_series(s: complex, D: int, n_terms: int) -> complex:
     n = np.arange(1, n_terms + 1)
     chi = np.array([kronecker_symbol(D, int(k)) for k in n], dtype=float)
     return complex((chi * np.exp(-s * np.log(n))).sum())
+
+
+def full_grid_kernel_mass(z: Point, params, n_x: int = 170, n_levels: int = 170,
+                          y_cut: float = 50.0, tile_level: float = 1e-8) -> tuple[float, float]:
+    """``kernel_mass_on_surface`` with every tile folded over the whole grid.
+
+    Evaluates u(z, gamma w) at all grid nodes for each tile and keeps
+    u <= u_lim, with one tile at a time for the cusp probes too; no
+    preimage ball selects the nodes.
+    """
+    tab = _kernel_table(params.T)
+    zr = reduce(z).point
+    xs, ys, wmu = fundamental_domain_grid(n_x, n_levels, y_cut)
+    rho_tile = tab.rho_at_level(tile_level)
+    y_high = max(y_cut * 1.05, zr.y * math.exp(rho_tile) * 1.05)
+    mats = ball_tiles(zr, rho_tile, y_high)
+
+    mass = 0.0
+    top = np.linspace(-0.45, 0.45, 7)
+    k_top = np.zeros(top.shape)
+    u_lim = math.sinh(0.5 * rho_tile) ** 2
+    for row in mats.astype(float):
+        gx, gy = mobius_image(*row, xs, ys)
+        u = pair_u(gx, gy, zr.x, zr.y)
+        sel = u <= u_lim
+        if np.any(sel):
+            mass += float(wmu[sel] @ tab.eval_u(u[sel]))
+        gx, gy = mobius_image(*row, top, y_cut)
+        k_top += tab.eval_u(pair_u(gx, gy, zr.x, zr.y))
+
+    tail_cusp = float(k_top.max()) / y_cut
+    rho_hi = 12.0 / params.T + 3.0
+    rho, wq = gl_panels(rho_tile, rho_hi, 6, 24)
+    tail_k = float(4.0 * math.pi * (wq * k_of_rho(rho, params.T) * 0.5 * np.sinh(rho)).sum())
+    return mass, abs(tail_cusp) + abs(tail_k)
+
+
+def geodesic_path_points(geo: ClosedGeodesic, samples_per_unit_length: int) -> np.ndarray:
+    """Equal-arclength sample points along one period, as unreduced complex numbers.
+
+    The geodesic is the semicircle through the form's real endpoints; with
+    arclength parameter s the polar angle is theta = 2 arctan(e^s), and one
+    period has length ``geo.length``.
+    """
+    center = 0.5 * (geo.endpoints[0] + geo.endpoints[1])
+    radius = 0.5 * abs(geo.endpoints[1] - geo.endpoints[0])
+    n = max(2, math.ceil(geo.length * samples_per_unit_length))
+    s = (np.arange(n) + 0.5) * (geo.length / n)
+    theta = 2.0 * np.arctan(np.exp(s))
+    return center + radius * np.exp(1j * theta)

@@ -14,7 +14,6 @@ from modsurf.arithmetic import (
     closed_geodesics,
     cuspidal_mass,
     geodesic_measure,
-    geodesic_path_points,
     haar_discretization,
     heegner_measure,
     is_fundamental,
@@ -25,6 +24,8 @@ from modsurf.arithmetic import (
 )
 from modsurf.hypgeo import Point, distance, mobius_apply
 from modsurf.specfun import dirichlet_l
+
+from oracles import geodesic_path_points
 
 
 class TestFundamental:

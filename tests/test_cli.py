@@ -127,6 +127,14 @@ class TestMeasureCommands:
         assert 0.0 < value < 3.0
 
 
+class TestKernelMass:
+    def test_default_golden_csv(self, tmp_path, monkeypatch):
+        # pins the mass and error_bound columns of kernel_mass_on_surface
+        out = tmp_path / "k.csv"
+        assert run(["kernel-mass", "--out", str(out)], tmp_path, monkeypatch) == 0
+        assert out.read_bytes() == (DATA / "kernel_mass_default.csv").read_bytes()
+
+
 class TestMollifyCheck:
     def test_default_golden_csv(self, tmp_path, monkeypatch):
         # pins surface_distance_to_point, which clipped_distance evaluates

@@ -231,6 +231,39 @@ class TestSurfaceDistanceMatrixProperties:
             assert abs(mat[i, j] - oracle) < 1e-12
 
 
+# boundary points of the fundamental domain: the floor arc, the edges x = +-1/2
+# and the corners, which reduction must send to one representative each
+BOUNDARY = st.one_of(
+    st.floats(-0.5, 0.5).map(lambda x: (x, math.sqrt(1.0 - x * x))),
+    st.tuples(st.sampled_from([-0.5, 0.5]), st.floats(math.sqrt(3.0) / 2.0, 5.0)),
+    st.sampled_from([(-0.5, math.sqrt(3.0) / 2.0), (0.5, math.sqrt(3.0) / 2.0)]),
+)
+
+
+class TestReduceProperties:
+    """reduce and reduce_batch agree and land in F on boundary points and their images."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.lists(BOUNDARY, min_size=1, max_size=4), WORDS)
+    def test_agree_and_land_in_domain(self, pts, word):
+        g = hg.IDENTITY
+        for h in word:
+            g = g @ h
+        moved = [mobius_apply(g, Point(x, y)) for x, y in pts]
+        bx, by = hg.reduce_batch(np.array([p.x for p in moved]), np.array([p.y for p in moved]))
+        for p, x, y in zip(moved, bx, by):
+            r = reduce(p).point
+            assert abs(r.x - x) <= 1e-12 and abs(r.y - y) <= 1e-12
+            for px, py in ((r.x, r.y), (x, y)):
+                assert -0.5 <= px < 0.5
+                assert px * px + py * py >= 1.0 - 1e-14
+                # the tie-break holds where reduce places the arc, within
+                # _BOUNDARY_EPS of |z| = 1; an image of an arc point can be
+                # off by more (2.2e-15 for the corner under S T^-3 S T^-1)
+                if px * px + py * py <= 1.0 + hg._BOUNDARY_EPS:
+                    assert px <= 0.0
+
+
 class TestHeight:
     def test_values(self):
         assert abs(height(Point(0, 1)) - 1.0) < 1e-15

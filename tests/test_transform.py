@@ -22,7 +22,7 @@ from modsurf.transform import (
     smooth,
 )
 
-from oracles import quad_inner_sine
+from oracles import full_grid_kernel_mass, quad_inner_sine
 
 # frozen from the 40-digit quadrature oracle
 BUMP_UNIT_INTEGRAL = 0.2219969080840397
@@ -159,6 +159,24 @@ class TestAutomorphicKernel:
         mass, bound = tr.kernel_mass_on_surface(Point(0, 1), params_t2,
                                                 n_x=120, n_levels=120)
         assert abs(mass - 1.0) <= 1e-3
+
+
+class TestKernelMassByPreimageBalls:
+    """The preimage-ball selection against every tile folded over the whole grid."""
+
+    @pytest.mark.parametrize("z", [
+        Point(0.0, 1.0),
+        Point(-0.5, math.sqrt(3.0) / 2.0),  # the corner e^{2 pi i/3}
+        # on x = -1/2, at the height that puts the grid node of column 0,
+        # level 1 on the boundary of B(z, rho_tile) to the last bit: without
+        # the selection margin that node is dropped
+        Point(-0.5, 1.047803440528859),
+        Point(0.3, 0.9),  # reduced inside
+        Point(0.1, 4.0),  # y_high comes from z.y e^rho_tile
+    ])
+    def test_bit_identical_to_full_grid(self, z, params_t2):
+        assert (tr.kernel_mass_on_surface(z, params_t2, n_x=60, n_levels=60)
+                == full_grid_kernel_mass(z, params_t2, n_x=60, n_levels=60))
 
 
 class TestMollifier:
