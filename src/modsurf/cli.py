@@ -1,38 +1,16 @@
 """Experiment harness: every verification as a subcommand with CSV/JSON output.
 
-Subcommands
------------
-transform-check   kernel unit mass, nonnegativity, inversion round-trip,
-                  arsinh-moment bound, route agreement for each bandwidth
-kernel-mass       surface integral of the automorphic kernel at base points
-heegner           write Heegner measure files for D < 0
-geodesics         write geodesic measure files and lengths for D > 0
-class-number      form-enumeration h(D) against the L(1, chi_D) formula
-weyl-compare      empirical vs exact squared Weyl sums (headline ratio = 1)
-duke              W1(nu_D, nu_grid) per discriminant with dual bounds,
-                  spectral upper bound, and fitted log-log slope
-mollify-check     smoothing-operator sup and gradient bounds
-wasserstein       exact W1 between two measure files
+All subcommands take --config, --out and --json; mollify-check also takes
+--seed, duke --maass-data, and wasserstein two measure files and
+--plan-out.  ``modsurf <command> --help`` lists a command's CSV columns.
 
-Exit codes: 0 all checks pass, 1 check failure, 2 configuration error.
+Exit codes: 0 all checks pass, 1 check failure, 2 configuration error or
+bad arguments (one line on stderr).
 
 The configuration file is flat INI (sections [experiment], [haar],
 [geodesic], [tolerances]); every key has a default, so a config file is
 optional.  CSV goes to --out (default stdout); --json emits the same rows
 as JSON.
-
-CSV columns per subcommand
---------------------------
-transform-check   T, check, value, pass
-kernel-mass       z_x, z_y, mass, error_bound, pass
-heegner           D, class_number, file, max_height
-geodesics         D, narrow_classes, length, atoms, file
-class-number      D, h_enumerated, h_formula, abs_diff, pass
-weyl-compare      D, t, empirical_sq, exact_sq, ratio, pass
-duke              D, W1_estimate, dual_lower_bound, discretization_bound,
-                  berry_esseen_total, T_used, pass   (final row: fitted slope)
-mollify-check     eps, sup_error, grad_sq, grad_bound, pass
-wasserstein       file1, file2, W1
 """
 
 from __future__ import annotations
@@ -44,8 +22,9 @@ import io
 import json
 import math
 import sys
+import textwrap
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -98,7 +77,6 @@ class ExperimentConfig:
     t_values: tuple[float, ...] = (0.5, 1.0, 2.0)
     seed: int = 0
     maass_data: str | None = None
-    discriminants_explicit: bool = False
 
     @property
     def T(self) -> float:
@@ -110,14 +88,32 @@ class ExperimentConfig:
         for D in self.discriminants:
             if not is_fundamental(D):
                 raise ConfigError(f"{D} is not a fundamental discriminant")
-        for name in ("tol_kint", "tol_forward", "tol_route", "tol_kernel_mass",
-                     "tol_weyl", "tol_weyl_positive", "tol_class_number"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
+        for f in fields(self):
+            if f.name.startswith("tol_") and getattr(self, f.name) <= 0:
+                raise ConfigError(f"{f.name} must be positive")
         if self.y_max < 2.0:
             raise ConfigError("y_max must be at least 2")
         if self.samples_per_unit_length <= 0:
             raise ConfigError("samples_per_unit_length must be positive")
+
+
+# INI section -> {key: config field}; a value parses as the type of the
+# field's default, element-wise for the lists
+_INI_KEYS = {
+    "experiment": {"bandwidth": "bandwidths", "discriminants": "discriminants",
+                   "seed": "seed", "maass_data": "maass_data", "t_values": "t_values",
+                   "eps_list": "eps_list"},
+    "haar": {"n_x": "n_x", "n_levels": "n_levels", "y_max": "y_max"},
+    "geodesic": {"samples_per_unit_length": "samples_per_unit_length"},
+    "tolerances": {key: "tol_" + key for key in ("kint", "forward", "route", "kernel_mass",
+                                                  "weyl", "weyl_positive", "class_number")},
+}
+
+
+def _parse(text: str, default):
+    if isinstance(default, tuple):
+        return tuple(type(default[0])(v) for v in text.split())
+    return (str if default is None else type(default))(text)
 
 
 def load_config(path: str | None) -> ExperimentConfig:
@@ -125,54 +121,20 @@ def load_config(path: str | None) -> ExperimentConfig:
     if path is None:
         return cfg
     parser = configparser.ConfigParser()
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+        values = {name: _parse(parser.get(sec, key), getattr(cfg, name))
+                  for sec, keys in _INI_KEYS.items() for key, name in keys.items()
+                  if parser.has_option(sec, key)}
+    except (ValueError, configparser.Error) as exc:
+        # configparser's messages run over several lines; the first says what failed
+        raise ConfigError(f"malformed config: {str(exc).splitlines()[0]}") from exc
     if not read:
         raise ConfigError(f"cannot read config file {path}")
-
-    def floats(sec, key, default):
-        if parser.has_option(sec, key):
-            return tuple(float(v) for v in parser.get(sec, key).split())
-        return default
-
-    def ints(sec, key, default):
-        if parser.has_option(sec, key):
-            return tuple(int(v) for v in parser.get(sec, key).split())
-        return default
-
-    def one(sec, key, cast, default):
-        return cast(parser.get(sec, key)) if parser.has_option(sec, key) else default
-
-    try:
-        cfg = replace(
-            cfg,
-            bandwidths=floats("experiment", "bandwidth", cfg.bandwidths),
-            discriminants=ints("experiment", "discriminants", cfg.discriminants),
-            discriminants_explicit=parser.has_option("experiment", "discriminants"),
-            seed=one("experiment", "seed", int, cfg.seed),
-            maass_data=one("experiment", "maass_data", str, cfg.maass_data),
-            t_values=floats("experiment", "t_values", cfg.t_values),
-            n_x=one("haar", "n_x", int, cfg.n_x),
-            n_levels=one("haar", "n_levels", int, cfg.n_levels),
-            y_max=one("haar", "y_max", float, cfg.y_max),
-            samples_per_unit_length=one("geodesic", "samples_per_unit_length", int,
-                                        cfg.samples_per_unit_length),
-            tol_kint=one("tolerances", "kint", float, cfg.tol_kint),
-            tol_forward=one("tolerances", "forward", float, cfg.tol_forward),
-            tol_route=one("tolerances", "route", float, cfg.tol_route),
-            tol_kernel_mass=one("tolerances", "kernel_mass", float, cfg.tol_kernel_mass),
-            tol_weyl=one("tolerances", "weyl", float, cfg.tol_weyl),
-            tol_weyl_positive=one("tolerances", "weyl_positive", float,
-                                  cfg.tol_weyl_positive),
-            tol_class_number=one("tolerances", "class_number", float,
-                                 cfg.tol_class_number),
-            eps_list=floats("experiment", "eps_list", cfg.eps_list),
-        )
-    except (ValueError, configparser.Error) as exc:
-        raise ConfigError(f"malformed config: {exc}") from exc
-    return cfg
+    return replace(cfg, **values)
 
 
-def _emit(rows: list[dict], columns: list[str], out: str | None, as_json: bool) -> None:
+def _emit(rows: list[dict], columns: tuple[str, ...], out: str | None, as_json: bool) -> None:
     """Write rows as CSV (or JSON) to a path or stdout; key order is fixed."""
     if as_json:
         text = json.dumps(rows, indent=2, default=float) + "\n"
@@ -184,8 +146,11 @@ def _emit(rows: list[dict], columns: list[str], out: str | None, as_json: bool) 
             writer.writerow({k: row.get(k, "") for k in columns})
         text = buf.getvalue()
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {out}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -196,10 +161,11 @@ def _status(ok: bool, label: str) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands: each handler cmd_<name> takes (cfg, args) and returns
+# (rows, ok); main writes the rows under the command's COMMANDS columns.
 
 
-def cmd_transform_check(cfg: ExperimentConfig, out, as_json) -> int:
+def cmd_transform_check(cfg: ExperimentConfig, args):
     rows = []
     all_ok = True
     moments = []
@@ -239,15 +205,13 @@ def cmd_transform_check(cfg: ExperimentConfig, out, as_json) -> int:
         all_ok &= _status(ok, f"T*moment non-increasing {T1}->{T2}")
         rows.append({"T": T2, "check": "t_moment_nonincreasing",
                      "value": T2 * m2 / (T1 * m1), "pass": ok})
-
-    _emit(rows, ["T", "check", "value", "pass"], out, as_json)
-    return 0 if all_ok else 1
+    return rows, all_ok
 
 
 _BASE_POINTS = (Point(0.0, 1.0), Point(0.5, 2.0), Point(0.3, 0.9))
 
 
-def cmd_kernel_mass(cfg: ExperimentConfig, out, as_json) -> int:
+def cmd_kernel_mass(cfg: ExperimentConfig, args):
     params = TransformParams.default(cfg.T)
     rows = []
     all_ok = True
@@ -257,11 +221,10 @@ def cmd_kernel_mass(cfg: ExperimentConfig, out, as_json) -> int:
         all_ok &= _status(ok, f"kernel mass at ({z.x}, {z.y}): {mass:.6f}")
         rows.append({"z_x": z.x, "z_y": z.y, "mass": mass,
                      "error_bound": bound, "pass": ok})
-    _emit(rows, ["z_x", "z_y", "mass", "error_bound", "pass"], out, as_json)
-    return 0 if all_ok else 1
+    return rows, all_ok
 
 
-def cmd_heegner(cfg: ExperimentConfig, out, as_json) -> int:
+def cmd_heegner(cfg: ExperimentConfig, args):
     rows = []
     for D in sorted((d for d in cfg.discriminants if d < 0), key=abs):
         m = heegner_measure(D)
@@ -270,11 +233,10 @@ def cmd_heegner(cfg: ExperimentConfig, out, as_json) -> int:
         rows.append({"D": D, "class_number": len(m), "file": path,
                      "max_height": float(m.ys.max())})
         print(f"D={D}: {len(m)} atoms -> {path}")
-    _emit(rows, ["D", "class_number", "file", "max_height"], out, as_json)
-    return 0
+    return rows, True
 
 
-def cmd_geodesics(cfg: ExperimentConfig, out, as_json) -> int:
+def cmd_geodesics(cfg: ExperimentConfig, args):
     rows = []
     for D in sorted((d for d in cfg.discriminants if d > 0)):
         geos = closed_geodesics(D)
@@ -284,28 +246,15 @@ def cmd_geodesics(cfg: ExperimentConfig, out, as_json) -> int:
         rows.append({"D": D, "narrow_classes": len(geos),
                      "length": geos[0].length, "atoms": len(m), "file": path})
         print(f"D={D}: {len(geos)} classes, length {geos[0].length:.6f} -> {path}")
-    _emit(rows, ["D", "narrow_classes", "length", "atoms", "file"], out, as_json)
-    return 0
+    return rows, True
 
 
-def _unit_count(D: int) -> int:
-    if D == -3:
-        return 6
-    if D == -4:
-        return 4
-    return 2
-
-
-def cmd_class_number(cfg: ExperimentConfig, out, as_json) -> int:
+def cmd_class_number(cfg: ExperimentConfig, args):
     rows = []
     all_ok = True
-    if cfg.discriminants_explicit:
-        ds = [d for d in cfg.discriminants if d < 0]
-    else:
-        ds = [d for d in range(-3, -201, -1) if is_fundamental(d)]
-    for D in sorted(ds, key=abs):
+    for D in (d for d in range(-3, -201, -1) if is_fundamental(d)):
         h = class_number(D)
-        w = _unit_count(D)
+        w = {-3: 6, -4: 4}.get(D, 2)  # number of units of the order
         h_formula = w * math.sqrt(abs(D)) * dirichlet_l(1.0, D).real / (2.0 * math.pi)
         ok = abs(h - h_formula) <= cfg.tol_class_number
         all_ok &= ok
@@ -314,14 +263,12 @@ def cmd_class_number(cfg: ExperimentConfig, out, as_json) -> int:
         rows.append({"D": D, "h_enumerated": h, "h_formula": h_formula,
                      "abs_diff": abs(h - h_formula), "pass": ok})
     print(f"checked {len(rows)} discriminants; all pass: {all_ok}")
-    _emit(rows, ["D", "h_enumerated", "h_formula", "abs_diff", "pass"], out, as_json)
-    return 0 if all_ok else 1
+    return rows, all_ok
 
 
-def cmd_weyl_compare(cfg: ExperimentConfig, out, as_json) -> int:
+def cmd_weyl_compare(cfg: ExperimentConfig, args):
     rows = []
     all_ok = True
-    recorded = {}
     for D in cfg.discriminants:
         ratios = []
         for t in cfg.t_values:
@@ -338,15 +285,13 @@ def cmd_weyl_compare(cfg: ExperimentConfig, out, as_json) -> int:
             spread = max(ratios) - min(ratios)
             ok = spread <= cfg.tol_weyl
             all_ok &= ok
-            recorded[D] = sum(ratios) / len(ratios)
             _status(ok, f"D={D}: ratio constant in t (spread {spread:.2e}), "
-                        f"recorded offset {recorded[D]:.6f}")
+                        f"recorded offset {sum(ratios) / len(ratios):.6f}")
         else:
             worst = max(abs(r - 1.0) for r in ratios)
             _status(worst <= (cfg.tol_weyl_positive if D > 0 else cfg.tol_weyl),
                     f"D={D}: max |ratio-1| = {worst:.2e}")
-    _emit(rows, ["D", "t", "empirical_sq", "exact_sq", "ratio", "pass"], out, as_json)
-    return 0 if all_ok else 1
+    return rows, all_ok
 
 
 def _haar_mesh_bound(n_x: int, n_levels: int, y_max: float) -> float:
@@ -358,7 +303,7 @@ def _haar_mesh_bound(n_x: int, n_levels: int, y_max: float) -> float:
     return float(2.0 * np.arcsinh(s).max())
 
 
-def cmd_duke(cfg: ExperimentConfig, out, as_json) -> int:
+def cmd_duke(cfg: ExperimentConfig, args):
     try:
         data = MaassData.load(cfg.maass_data) if cfg.maass_data else None
     except (OSError, ValueError) as exc:
@@ -401,15 +346,14 @@ def cmd_duke(cfg: ExperimentConfig, out, as_json) -> int:
     rows.append({"D": "slope", "W1_estimate": slope, "dual_lower_bound": "",
                  "discretization_bound": "", "berry_esseen_total": "",
                  "T_used": cfg.T, "pass": ""})
-    _emit(rows, ["D", "W1_estimate", "dual_lower_bound", "discretization_bound",
-                 "berry_esseen_total", "T_used", "pass"], out, as_json)
-    return 0 if all_ok else 1
+    return rows, all_ok
 
 
-def _mollify_points(seed: int, count: int = 50):
+def _mollify_points(seed: int):
+    """The 50 sample points of mollify-check, uniform in x and log y."""
     rng = np.random.default_rng(seed)
     pts = []
-    while len(pts) < count:
+    while len(pts) < 50:
         x = rng.uniform(-0.5, 0.5)
         y = math.exp(rng.uniform(0.0, 1.6))
         if x * x + y * y >= 1.0:
@@ -417,7 +361,7 @@ def _mollify_points(seed: int, count: int = 50):
     return pts
 
 
-def cmd_mollify_check(cfg: ExperimentConfig, out, as_json) -> int:
+def cmd_mollify_check(cfg: ExperimentConfig, args):
     z0 = Point(0.0, 2.0)
     F = clipped_distance(z0, 3.0)
     pts = _mollify_points(cfg.seed)
@@ -443,28 +387,74 @@ def cmd_mollify_check(cfg: ExperimentConfig, out, as_json) -> int:
         all_ok &= _status(ok_grad, f"eps={eps}: grad bound {grad_worst:.4f} <= {bound:.4f}")
         rows.append({"eps": eps, "sup_error": sup_err, "grad_sq": grad_worst,
                      "grad_bound": bound, "pass": ok_sup and ok_grad})
-    _emit(rows, ["eps", "sup_error", "grad_sq", "grad_bound", "pass"], out, as_json)
-    return 0 if all_ok else 1
+    return rows, all_ok
 
 
-def cmd_wasserstein(cfg: ExperimentConfig, out, as_json, file1: str, file2: str,
-                    plan_out: str | None) -> int:
+def cmd_wasserstein(cfg: ExperimentConfig, args):
     measures = []
-    for path in (file1, file2):
+    for path in (args.measure1, args.measure2):
         try:
             measures.append(load_measure(path))
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read measure {path}: {exc}") from exc
     value, plan = w1_exact(*measures)
-    if plan_out:
-        save_plan(plan, plan_out)
+    if args.plan_out:
+        save_plan(plan, args.plan_out)
     print(f"W1 = {value:.12g}")
-    _emit([{"file1": file1, "file2": file2, "W1": value}],
-          ["file1", "file2", "W1"], out, as_json)
-    return 0
+    return [{"file1": args.measure1, "file2": args.measure2, "W1": value}], True
 
 
 # ---------------------------------------------------------------------------
+
+# The one table of subcommands; it generates the parser and each --help text.
+# name -> (help, CSV columns, extra arguments as (name or flag, add_argument keywords))
+COMMANDS = {
+    "transform-check": (
+        "kernel unit mass, nonnegativity, inversion round-trip, arsinh-moment "
+        "bound and route agreement for each bandwidth",
+        ("T", "check", "value", "pass"), ()),
+    "kernel-mass": (
+        "surface integral of the automorphic kernel at three base points",
+        ("z_x", "z_y", "mass", "error_bound", "pass"), ()),
+    "heegner": (
+        "write Heegner measure files heegner_<|D|>.txt for the discriminants D < 0",
+        ("D", "class_number", "file", "max_height"), ()),
+    "geodesics": (
+        "write geodesic measure files geodesic_<D>.txt and lengths for the "
+        "discriminants D > 0",
+        ("D", "narrow_classes", "length", "atoms", "file"), ()),
+    "class-number": (
+        "form-enumeration h(D) against the L(1, chi_D) formula for the 62 "
+        "fundamental discriminants -200 <= D <= -3 (the config's discriminants "
+        "are not used)",
+        ("D", "h_enumerated", "h_formula", "abs_diff", "pass"), ()),
+    "weyl-compare": (
+        "empirical vs exact squared Weyl sums (headline ratio = 1)",
+        ("D", "t", "empirical_sq", "exact_sq", "ratio", "pass"), ()),
+    "duke": (
+        "W1(nu_D, nu_grid) per discriminant with dual bounds and the spectral "
+        "upper bound; the final row holds the fitted log-log slope",
+        ("D", "W1_estimate", "dual_lower_bound", "discretization_bound",
+         "berry_esseen_total", "T_used", "pass"),
+        (("--maass-data", {"help": "path to cuspidal Weyl-sum data "
+                                   "(rows 't_f weyl_sq_diff')"}),)),
+    "mollify-check": (
+        "smoothing-operator sup and gradient bounds at 50 seeded points",
+        ("eps", "sup_error", "grad_sq", "grad_bound", "pass"),
+        (("--seed", {"type": int, "help": "override the config seed"}),)),
+    "wasserstein": (
+        "exact W1 between two measure files",
+        ("file1", "file2", "W1"),
+        (("measure1", {}), ("measure2", {}),
+         ("--plan-out", {"help": "write the optimal plan to this path"}))),
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    """Argument errors raise ConfigError, so main reports them in one line."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -473,62 +463,33 @@ def build_parser() -> argparse.ArgumentParser:
                                          "[haar], [geodesic], [tolerances])")
     common.add_argument("--out", help="write CSV/JSON rows to this path")
     common.add_argument("--json", action="store_true", help="emit JSON instead of CSV")
-    common.add_argument("--seed", type=int, help="override the config seed")
-    common.add_argument("--maass-data", help="path to cuspidal Weyl-sum data "
-                                             "(rows 't_f weyl_sq_diff')")
-    p = argparse.ArgumentParser(
-        prog="modsurf",
-        description=__doc__,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
+    p = _Parser(prog="modsurf", description=__doc__,
+                formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", required=True)
-    for name in ("transform-check", "kernel-mass", "heegner", "geodesics",
-                 "class-number", "weyl-compare", "duke", "mollify-check"):
-        sub.add_parser(name, parents=[common])
-    w = sub.add_parser("wasserstein", parents=[common])
-    w.add_argument("measure1")
-    w.add_argument("measure2")
-    w.add_argument("--plan-out", help="write the optimal plan to this path")
+    for name, (help_text, columns, extra) in COMMANDS.items():
+        description = f"{textwrap.fill(help_text)}\n\nCSV columns:\n  {','.join(columns)}"
+        sp = sub.add_parser(name, parents=[common], help=help_text, description=description,
+                            formatter_class=argparse.RawDescriptionHelpFormatter)
+        for arg, kwargs in extra:
+            sp.add_argument(arg, **kwargs)
     return p
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         cfg = load_config(args.config)
-        if args.seed is not None:
-            cfg = replace(cfg, seed=args.seed)
-        if args.maass_data is not None:
-            cfg = replace(cfg, maass_data=args.maass_data)
+        # an extra argument named like a config field overrides that field
+        cfg = replace(cfg, **{f.name: getattr(args, f.name) for f in fields(cfg)
+                              if getattr(args, f.name, None) is not None})
         cfg.validate()
+        # looked up by name at call time, so a replaced module attribute is called
+        rows, ok = globals()["cmd_" + args.command.replace("-", "_")](cfg, args)
+        _emit(rows, COMMANDS[args.command][1], args.out, args.json)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-
-    try:
-        if args.command == "transform-check":
-            return cmd_transform_check(cfg, args.out, args.json)
-        if args.command == "kernel-mass":
-            return cmd_kernel_mass(cfg, args.out, args.json)
-        if args.command == "heegner":
-            return cmd_heegner(cfg, args.out, args.json)
-        if args.command == "geodesics":
-            return cmd_geodesics(cfg, args.out, args.json)
-        if args.command == "class-number":
-            return cmd_class_number(cfg, args.out, args.json)
-        if args.command == "weyl-compare":
-            return cmd_weyl_compare(cfg, args.out, args.json)
-        if args.command == "duke":
-            return cmd_duke(cfg, args.out, args.json)
-        if args.command == "mollify-check":
-            return cmd_mollify_check(cfg, args.out, args.json)
-        if args.command == "wasserstein":
-            return cmd_wasserstein(cfg, args.out, args.json, args.measure1,
-                                   args.measure2, args.plan_out)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    raise AssertionError("unreachable")
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

@@ -222,11 +222,11 @@ def reduce_batch(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray
         y = np.where(inside, y / r2, y)
     else:
         raise DegeneratePointError("batch reduction did not terminate")
-    # boundary tie-breaks, applied once the orbit representative is found
+    # boundary tie-break on the arc, applied once the orbit representative is
+    # found; x < 1/2 already, as x - floor(x + 1/2) is computed exactly
     r2 = x * x + y * y
     arc = (r2 <= 1.0 + _BOUNDARY_EPS) & (x > 0.0)
     x = np.where(arc, -x, x)
-    x = np.where(x >= 0.5, x - 1.0, x)
     return x, y
 
 

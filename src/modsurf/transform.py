@@ -44,6 +44,14 @@ _CUTOFF_REL = 1e-14
 
 _TABLE_POINTS = 6000
 
+# Gauss-Legendre (panels, nodes per panel) of the fixed quadratures: the
+# inner integral of k_of_rho, the rho-integrals of the transform identities
+# and the t-integral of the spectral route.
+_K_INNER_NODES = (10, 24)
+_MASS_NODES = (12, 24)
+_FORWARD_NODES = (10, 24)
+_SPECTRAL_NODES = (24, 24)
+
 
 class TruncationWarning(RuntimeWarning):
     """Group-sum truncation may have dropped terms above tolerance."""
@@ -77,7 +85,7 @@ def inner_sine_integral(v: float | np.ndarray, params):
     return out if out.ndim else float(out)
 
 
-def k_of_rho(rhos: np.ndarray, T: float, n_panels: int = 10, n_nodes: int = 24) -> np.ndarray:
+def k_of_rho(rhos: np.ndarray, T: float) -> np.ndarray:
     """Inverse-transform kernel on the geodesic scale, k(sinh^2(rho/2)).
 
     Vectorised closed-form route; exact to roughly quadrature precision
@@ -87,7 +95,7 @@ def k_of_rho(rhos: np.ndarray, T: float, n_panels: int = 10, n_nodes: int = 24) 
     # inner integral support: T^2 v^2 / 2 within ~45 of its minimum
     v_max = np.sqrt(rhos * rhos + 90.0 / (T * T))
     s_max = np.sqrt(v_max - rhos)
-    x, w = gl_panels(0.0, 1.0, n_panels, n_nodes)
+    x, w = gl_panels(0.0, 1.0, *_K_INNER_NODES)
     s = s_max[:, None] * x[None, :]
     ww = s_max[:, None] * w[None, :]
     s2 = s * s
@@ -106,8 +114,7 @@ def k_kernel(u: float, params: "TransformParams") -> float:
     return float(k_of_rho(np.array([rho]), params.T)[0])
 
 
-def k_kernel_spectral(u: float, params: "TransformParams", t_nodes: int = 24,
-                      t_panels: int = 24) -> float:
+def k_kernel_spectral(u: float, params: "TransformParams") -> float:
     """k(u) by direct quadrature of the spectral definition.
 
     Integrates h(t) P_{-1/2+it}(1+2u) t tanh(pi t) over the real line;
@@ -115,7 +122,7 @@ def k_kernel_spectral(u: float, params: "TransformParams", t_nodes: int = 24,
     """
     T = params.T
     t_hi = 9.2 * T + 3.0
-    t, w = gl_panels(0.0, t_hi, t_panels, t_nodes)
+    t, w = gl_panels(0.0, t_hi, *_SPECTRAL_NODES)
     p = np.array([conical_p(float(tt), u) for tt in t])
     h = np.exp(-(t * t + 0.25) / (2.0 * T * T))
     integrand = h * p * t * np.tanh(math.pi * t)
@@ -178,30 +185,27 @@ def _kernel_table(T: float) -> _KernelTable:
 # Transform identities
 
 
-def kernel_mass_integral(params: "TransformParams", n_panels: int = 12,
-                         n_nodes: int = 24) -> float:
+def kernel_mass_integral(params: "TransformParams") -> float:
     """4 pi int_0^inf k(u) du, evaluated on the geodesic scale; equals h(i/2) = 1."""
     T = params.T
     rho_hi = 10.0 / T + 2.5
-    rho, w = gl_panels(0.0, rho_hi, n_panels, n_nodes)
+    rho, w = gl_panels(0.0, rho_hi, *_MASS_NODES)
     k = k_of_rho(rho, T)
     return float(4.0 * math.pi * (w * k * 0.5 * np.sinh(rho)).sum())
 
 
-def forward_transform(t: float, params: "TransformParams", n_panels: int = 10,
-                      n_nodes: int = 24) -> float:
+def forward_transform(t: float, params: "TransformParams") -> float:
     """Recover h(t) as 4 pi int k(u) P_{-1/2+it}(1+2u) du (round-trip identity)."""
     T = params.T
     rho_hi = 10.0 / T + 2.5
-    rho, w = gl_panels(0.0, rho_hi, n_panels, n_nodes)
+    rho, w = gl_panels(0.0, rho_hi, *_FORWARD_NODES)
     k = k_of_rho(rho, T)
     u = np.sinh(0.5 * rho) ** 2
     p = np.array([conical_p(t, float(uu)) for uu in u])
     return float(4.0 * math.pi * (w * k * p * 0.5 * np.sinh(rho)).sum())
 
 
-def arsinh_moment(params: "TransformParams", n_panels: int = 12,
-                  n_nodes: int = 24) -> tuple[float, float]:
+def arsinh_moment(params: "TransformParams") -> tuple[float, float]:
     """Moment int k(u) arsinh(sqrt u) du and its analytic Gaussian majorant.
 
     The moment equals (1/4) int k(sinh^2(rho/2)) rho sinh(rho) drho.  The
@@ -212,7 +216,7 @@ def arsinh_moment(params: "TransformParams", n_panels: int = 12,
     """
     T = params.T
     rho_hi = 10.0 / T + 2.5
-    rho, w = gl_panels(0.0, rho_hi, n_panels, n_nodes)
+    rho, w = gl_panels(0.0, rho_hi, *_MASS_NODES)
     k = k_of_rho(rho, T)
     moment = float((w * k * 0.25 * rho * np.sinh(rho)).sum())
     v, wv = gl_panels(0.0, 9.0, 8, 24)
@@ -397,6 +401,10 @@ def kernel_mass_on_surface(
 # Mollifier and smoothing operator
 
 _C_UNIT_INTEGRAL_NODES = (8, 24)
+# smooth's polar patch: Gauss-Legendre nodes per radial panel (4 panels) and
+# midpoint angles
+_SMOOTH_Q_NODES = 24
+_SMOOTH_THETAS = 64
 
 
 @lru_cache(maxsize=1)
@@ -439,7 +447,7 @@ def mollifier_k_eps(u: float | np.ndarray, m: MollifierParams) -> float | np.nda
     return out if u.ndim else float(out[0])
 
 
-def smooth(F, eps: float, z: Point, n_q: int = 24, n_theta: int = 64) -> float:
+def smooth(F, eps: float, z: Point) -> float:
     """Mollified value F_eps(z) = int F(w) k_eps(u(z, w)) dmu(w).
 
     Geodesic polar quadrature centred at z with the substitution u =
@@ -449,8 +457,8 @@ def smooth(F, eps: float, z: Point, n_q: int = 24, n_theta: int = 64) -> float:
     """
     m = MollifierParams.create(eps)
     S = math.sinh(0.5 * eps) ** 2
-    q, wq = gl_panels(0.0, 1.0, 4, n_q)
-    theta = (np.arange(n_theta) + 0.5) * (2.0 * math.pi / n_theta)
+    q, wq = gl_panels(0.0, 1.0, 4, _SMOOTH_Q_NODES)
+    theta = (np.arange(_SMOOTH_THETAS) + 0.5) * (2.0 * math.pi / _SMOOTH_THETAS)
     u = S * q * q
     root = 2.0 * np.sqrt(u * (u + 1.0))
     den = 1.0 + 2.0 * u[:, None] + root[:, None] * np.cos(theta)[None, :]
@@ -462,4 +470,4 @@ def smooth(F, eps: float, z: Point, n_q: int = 24, n_theta: int = 64) -> float:
     vals = F(wx.ravel(), wy.ravel()).reshape(wx.shape)
     kvals = mollifier_k_eps(u, m)
     radial = wq * kvals * 4.0 * S * q  # includes du = 2 S q dq and the polar factor 2
-    return float((radial[:, None] * vals).sum() * (2.0 * math.pi / n_theta))
+    return float((radial[:, None] * vals).sum() * (2.0 * math.pi / _SMOOTH_THETAS))

@@ -226,7 +226,12 @@ def w1_exact(m1: DiscreteMeasure, m2: DiscreteMeasure) -> tuple[float, Transport
 # Entropic (Sinkhorn) approximation
 
 
-def _sinkhorn_plan_cost(a, b, cost, reg, iters):
+# Iteration budgets of w1_sinkhorn's final level and of each self-term level.
+_SINKHORN_ITERS = 60_000
+_SELF_ITERS = 3000
+
+
+def _sinkhorn_plan_cost(a, b, cost, reg):
     """Transport cost of the entropic plan; stabilised scaling iterations.
 
     Epsilon scaling halves the regularisation down to ``reg``; at each
@@ -248,7 +253,7 @@ def _sinkhorn_plan_cost(a, b, cost, reg, iters):
 
     for eps in levels:
         final = eps == reg
-        budget = iters if final else 300
+        budget = _SINKHORN_ITERS if final else 300
         target = 3e-8 if final else 1e-8
         K = kernel(eps)
         u = np.ones(len(a))
@@ -307,7 +312,7 @@ def _round_to_feasible(pi, a, b):
     return pi
 
 
-def _sym_self_plan_cost(a, cost, reg, iters):
+def _sym_self_plan_cost(a, cost, reg):
     """Entropic self-transport cost via the damped symmetric iteration.
 
     The self problem can be degenerate (near-duplicate atoms); the
@@ -322,7 +327,7 @@ def _sym_self_plan_cost(a, cost, reg, iters):
         levels.append(min(1.0, levels[-1] * 2.0))
     levels.reverse()
     for eps in levels:
-        for it in range(iters):
+        for it in range(_SELF_ITERS):
             lse = logsumexp((f[None, :] - cost) / eps + loga[None, :], axis=1)
             f_new = 0.5 * f + 0.5 * (-eps * lse)  # averaged fixed-point update
             delta = float(np.abs(f_new - f).max())
@@ -334,8 +339,7 @@ def _sym_self_plan_cost(a, cost, reg, iters):
     return float((pi * cost).sum())
 
 
-def w1_sinkhorn(m1: DiscreteMeasure, m2: DiscreteMeasure, reg: float,
-                iters: int = 60_000) -> float:
+def w1_sinkhorn(m1: DiscreteMeasure, m2: DiscreteMeasure, reg: float) -> float:
     """Debiased entropic approximation of the 1-Wasserstein distance.
 
     Returns <pi_ab, C> - (<pi_aa, C> + <pi_bb, C>)/2 with entropic plans at
@@ -353,9 +357,9 @@ def w1_sinkhorn(m1: DiscreteMeasure, m2: DiscreteMeasure, reg: float,
     c_bb = cost_matrix(m2, m2).entries
     a = m1.weights.astype(float)
     b = m2.weights.astype(float)
-    v_ab = _sinkhorn_plan_cost(a, b, c_ab, reg, iters)
-    v_aa = _sym_self_plan_cost(a, c_aa, reg, min(iters, 3000))
-    v_bb = _sym_self_plan_cost(b, c_bb, reg, min(iters, 3000))
+    v_ab = _sinkhorn_plan_cost(a, b, c_ab, reg)
+    v_aa = _sym_self_plan_cost(a, c_aa, reg)
+    v_bb = _sym_self_plan_cost(b, c_bb, reg)
     return v_ab - 0.5 * (v_aa + v_bb)
 
 
@@ -371,11 +375,9 @@ def dual_lower_bound(m1: DiscreteMeasure, m2: DiscreteMeasure,
     return abs(v1 - v2) / F.lipschitz_constant
 
 
-def best_dual_lower_bound(m1: DiscreteMeasure, m2: DiscreteMeasure,
-                          family=None) -> float:
-    """Best KR lower bound over a family of Lipschitz functions."""
-    fam = DEFAULT_DUAL_FAMILY if family is None else family
-    return max(dual_lower_bound(m1, m2, F) for F in fam)
+def best_dual_lower_bound(m1: DiscreteMeasure, m2: DiscreteMeasure) -> float:
+    """Best KR lower bound over the functions of DEFAULT_DUAL_FAMILY."""
+    return max(dual_lower_bound(m1, m2, F) for F in DEFAULT_DUAL_FAMILY)
 
 
 # ---------------------------------------------------------------------------

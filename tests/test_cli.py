@@ -3,6 +3,9 @@
 import json
 from pathlib import Path
 
+import pytest
+
+from modsurf import cli
 from modsurf.cli import load_config, main
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -35,6 +38,36 @@ class TestConfig:
         assert cfg.samples_per_unit_length == 100
         assert cfg.tol_weyl == 5e-4
 
+    def test_every_key(self, tmp_path):
+        p = tmp_path / "c.ini"
+        p.write_text(
+            "[experiment]\nbandwidth = 1.5\ndiscriminants = 5 -7\nt_values = 0.25 3\n"
+            "eps_list = 0.1\nseed = 4\nmaass_data = m.txt\n"
+            "[haar]\nn_x = 11\nn_levels = 12\ny_max = 13.5\n"
+            "[geodesic]\nsamples_per_unit_length = 14\n"
+            "[tolerances]\nkint = 1e-1\nforward = 2e-1\nroute = 3e-1\n"
+            "kernel_mass = 4e-1\nweyl = 5e-1\nweyl_positive = 6e-1\nclass_number = 7e-1\n"
+        )
+        cfg = load_config(str(p))
+        assert (cfg.bandwidths, cfg.discriminants, cfg.t_values, cfg.eps_list) == (
+            (1.5,), (5, -7), (0.25, 3.0), (0.1,))
+        assert (cfg.seed, cfg.maass_data) == (4, "m.txt")
+        assert (cfg.n_x, cfg.n_levels, cfg.y_max, cfg.samples_per_unit_length) == (
+            11, 12, 13.5, 14)
+        assert (cfg.tol_kint, cfg.tol_forward, cfg.tol_route, cfg.tol_kernel_mass,
+                cfg.tol_weyl, cfg.tol_weyl_positive, cfg.tol_class_number) == (
+            0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7)
+        assert type(cfg.seed) is int and type(cfg.y_max) is float
+
+    @pytest.mark.parametrize("text", ["seed = 3\n", "[experiment]\nseed\n",
+                                      "[haar]\nn_x = 1.5\n"])
+    def test_malformed_exit_two(self, text, tmp_path, monkeypatch, capsys):
+        p = tmp_path / "bad.ini"
+        p.write_text(text)
+        assert run(["heegner", "--config", str(p)], tmp_path, monkeypatch) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: malformed config")
+
     def test_bad_bandwidth_exit_two(self, tmp_path, monkeypatch):
         p = tmp_path / "bad.ini"
         p.write_text("[experiment]\nbandwidth = 0.5\n")
@@ -58,6 +91,11 @@ class TestTransformCheck:
         assert lines[0] == "T,check,value,pass"
         assert all(line.endswith("True") for line in lines[1:])
 
+    def test_default_golden_csv(self, tmp_path, monkeypatch):
+        out = tmp_path / "t.csv"
+        assert run(["transform-check", "--out", str(out)], tmp_path, monkeypatch) == 0
+        assert out.read_bytes() == (DATA / "transform_check_default.csv").read_bytes()
+
 
 class TestClassNumber:
     def test_full_range(self, tmp_path, monkeypatch):
@@ -66,6 +104,19 @@ class TestClassNumber:
         assert code == 0
         lines = out.read_text().splitlines()
         assert len(lines) == 63  # header + 62 fundamental discriminants in [-200, -3]
+
+    def test_default_golden_csv(self, tmp_path, monkeypatch):
+        out = tmp_path / "cn.csv"
+        assert run(["class-number", "--out", str(out)], tmp_path, monkeypatch) == 0
+        assert out.read_bytes() == (DATA / "class_number_default.csv").read_bytes()
+
+    def test_fixed_range_ignores_config_discriminants(self, tmp_path, monkeypatch):
+        cfgp = tmp_path / "c.ini"
+        cfgp.write_text("[experiment]\ndiscriminants = -7 -8\n")
+        out = tmp_path / "cn.csv"
+        assert run(["class-number", "--config", str(cfgp), "--out", str(out)],
+                   tmp_path, monkeypatch) == 0
+        assert out.read_bytes() == (DATA / "class_number_default.csv").read_bytes()
 
     def test_bitwise_reproducible(self, tmp_path, monkeypatch):
         out1 = tmp_path / "a.csv"
@@ -82,6 +133,11 @@ class TestWeylCompare:
         assert code == 0
         lines = out.read_text().splitlines()
         assert len(lines) == 1 + 7 * 3  # default 7 discriminants x 3 t-values
+
+    def test_default_golden_csv(self, tmp_path, monkeypatch):
+        out = tmp_path / "w.csv"
+        assert run(["weyl-compare", "--out", str(out)], tmp_path, monkeypatch) == 0
+        assert out.read_bytes() == (DATA / "weyl_compare_default.csv").read_bytes()
 
     def test_json_mirror(self, tmp_path, monkeypatch):
         cfgp = tmp_path / "c.ini"
@@ -125,6 +181,27 @@ class TestMeasureCommands:
         assert header[0] == "file1,file2,W1"
         value = float(header[1].rsplit(",", 1)[1])
         assert 0.0 < value < 3.0
+
+
+    def test_heegner_default_golden_csv(self, tmp_path, monkeypatch):
+        out = tmp_path / "h.csv"
+        assert run(["heegner", "--out", str(out)], tmp_path, monkeypatch) == 0
+        assert out.read_bytes() == (DATA / "heegner_default.csv").read_bytes()
+
+    def test_geodesics_and_wasserstein_golden_csv(self, tmp_path, monkeypatch):
+        cfgp = tmp_path / "c.ini"
+        cfgp.write_text("[experiment]\ndiscriminants = 5 13\n")
+        out = tmp_path / "g.csv"
+        assert run(["geodesics", "--config", str(cfgp), "--out", str(out)],
+                   tmp_path, monkeypatch) == 0
+        assert out.read_bytes() == (DATA / "geodesics_5_13.csv").read_bytes()
+        cfg2 = tmp_path / "c2.ini"
+        cfg2.write_text("[experiment]\ndiscriminants = -23\n")
+        assert run(["heegner", "--config", str(cfg2)], tmp_path, monkeypatch) == 0
+        out = tmp_path / "w.csv"
+        assert run(["wasserstein", "geodesic_5.txt", "heegner_23.txt", "--out", str(out)],
+                   tmp_path, monkeypatch) == 0
+        assert out.read_bytes() == (DATA / "wasserstein_geodesic5_heegner23.csv").read_bytes()
 
 
 class TestKernelMass:
@@ -221,3 +298,86 @@ class TestWassersteinInput:
         assert code == 2
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and "bad.txt" in err
+
+
+# The CSV header of each subcommand, as the README and the golden files have it.
+HEADERS = {
+    "transform-check": "T,check,value,pass",
+    "kernel-mass": "z_x,z_y,mass,error_bound,pass",
+    "heegner": "D,class_number,file,max_height",
+    "geodesics": "D,narrow_classes,length,atoms,file",
+    "class-number": "D,h_enumerated,h_formula,abs_diff,pass",
+    "weyl-compare": "D,t,empirical_sq,exact_sq,ratio,pass",
+    "duke": "D,W1_estimate,dual_lower_bound,discretization_bound,berry_esseen_total,"
+            "T_used,pass",
+    "mollify-check": "eps,sup_error,grad_sq,grad_bound,pass",
+    "wasserstein": "file1,file2,W1",
+}
+
+
+class TestCommandTable:
+    def test_table_names_every_command(self):
+        assert list(cli.COMMANDS) == list(HEADERS)
+
+    @pytest.mark.parametrize("command", sorted(HEADERS))
+    def test_help_lists_columns(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        lines = [line.strip() for line in capsys.readouterr().out.splitlines()]
+        assert HEADERS[command] in lines
+
+    def test_dispatch_through_module_attribute(self, tmp_path, monkeypatch):
+        calls = []
+
+        def stub(cfg, args):
+            calls.append(args.command)
+            return [{"D": -7, "class_number": 1, "file": "x", "max_height": 1.0}], True
+
+        monkeypatch.setattr(cli, "cmd_heegner", stub)
+        out = tmp_path / "h.csv"
+        assert run(["heegner", "--out", str(out)], tmp_path, monkeypatch) == 0
+        assert calls == ["heegner"]
+        assert out.read_text().splitlines() == [HEADERS["heegner"], "-7,1,x,1.0"]
+
+    def test_failed_check_exit_one(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "cmd_heegner", lambda cfg, args: ([], False))
+        assert run(["heegner"], tmp_path, monkeypatch) == 1
+
+
+class TestArgumentErrors:
+    @pytest.mark.parametrize("argv", [
+        ["wasserstein"],
+        ["no-such-command"],
+        ["heegner", "--no-such-flag"],
+        ["mollify-check", "--seed", "x"],
+        ["kernel-mass", "--maass-data", "x"],
+        ["duke", "--seed", "1"],
+    ])
+    def test_exit_two_with_one_line(self, argv, tmp_path, monkeypatch, capsys):
+        assert run(argv, tmp_path, monkeypatch) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: ")
+
+    def test_unwritable_out_exit_two(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "no-such-dir" / "h.csv"
+        assert run(["heegner", "--out", str(out)], tmp_path, monkeypatch) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "no-such-dir" in err[0]
+
+    def test_seed_overrides_config(self, tmp_path, monkeypatch):
+        seen = []
+
+        def stub(cfg, args):
+            seen.append(cfg.seed)
+            return [], True
+
+        monkeypatch.setattr(cli, "cmd_mollify_check", stub)
+        cfgp = tmp_path / "c.ini"
+        cfgp.write_text("[experiment]\nseed = 3\n")
+        assert run(["mollify-check", "--config", str(cfgp)], tmp_path, monkeypatch) == 0
+        assert run(["mollify-check", "--config", str(cfgp), "--seed", "7"],
+                   tmp_path, monkeypatch) == 0
+        assert seen == [3, 7]

@@ -180,6 +180,30 @@ def tree_plan(parent, flow, m, n):
     return plan
 
 
+@st.composite
+def small_measure(draw):
+    """1 to 5 atoms drawn in the strip, reduced, with integer weights 1..5."""
+    k = draw(st.integers(1, 5))
+    xs = draw(st.lists(st.floats(-0.5, 0.5), min_size=k, max_size=k))
+    logys = draw(st.lists(st.floats(0.0, 1.5), min_size=k, max_size=k))
+    counts = np.array(draw(st.lists(st.integers(1, 5), min_size=k, max_size=k)), float)
+    rx, ry = hg.reduce_batch(np.array(xs), np.exp(logys))
+    return DiscreteMeasure(rx, ry, counts / counts.sum())
+
+
+class TestMetricProperties:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(small_measure(), small_measure(), small_measure())
+    def test_zero_symmetric_triangle(self, m1, m2, m3):
+        assert abs(w1_exact(m1, m1)[0]) <= 1e-12
+        d12, _ = w1_exact(m1, m2)
+        d21, _ = w1_exact(m2, m1)
+        assert abs(d12 - d21) <= 1e-12
+        d13, _ = w1_exact(m1, m3)
+        d32, _ = w1_exact(m3, m2)
+        assert d12 <= d13 + d32 + 1e-12
+
+
 class TestNetworkSimplex:
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(tiny_measure(), tiny_measure())
@@ -335,6 +359,17 @@ class TestPlanSerialisation:
         m2 = measure([(0.0, 1.0, 0.3), (0.0, 2.0, 0.7)])
         value, plan = w1_exact(m1, m2)
         path = os.path.join(tmp_path, "plan.txt")
+        save_plan(plan, path)
+        p2 = load_plan(path, plan.plan.shape)
+        assert np.array_equal(plan.plan, p2.plan)
+        assert p2.value == plan.value
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(small_measure(), small_measure())
+    def test_round_trip_bit_exact(self, tmp_path_factory, m1, m2):
+        # the duals are not saved
+        _value, plan = w1_exact(m1, m2)
+        path = str(tmp_path_factory.mktemp("plan") / "plan.txt")
         save_plan(plan, path)
         p2 = load_plan(path, plan.plan.shape)
         assert np.array_equal(plan.plan, p2.plan)
