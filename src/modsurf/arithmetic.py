@@ -20,37 +20,11 @@ import numpy as np
 
 from . import hypgeo
 from .hypgeo import Point, UnimodularMatrix, fundamental_domain_grid
+from .specfun import is_fundamental, require_fundamental  # noqa: F401 (re-exported)
 
 SURFACE_AREA = math.pi / 3.0  # mu(Gamma \ H) for the modular group
 
 _PELL_MAX_PERIOD = 100_000
-
-
-def _squarefree(n: int) -> bool:
-    n = abs(n)
-    d = 2
-    while d * d <= n:
-        if n % (d * d) == 0:
-            return False
-        d += 1
-    return True
-
-
-def is_fundamental(D: int) -> bool:
-    """True iff D is a fundamental discriminant."""
-    if D == 0 or D == 1:
-        return False
-    if D % 4 == 1:
-        return _squarefree(D)
-    if D % 4 == 0:
-        m = D // 4
-        return m % 4 in (2, 3) and _squarefree(m)
-    return False
-
-
-def _require_fundamental(D: int) -> None:
-    if not is_fundamental(D):
-        raise ValueError(f"{D} is not a fundamental discriminant")
 
 
 @dataclass(frozen=True)
@@ -95,7 +69,7 @@ class ClosedGeodesic:
 
 def reduced_forms(D: int) -> list[QuadraticForm]:
     """One reduced-form representative per (narrow, if D > 0) class."""
-    _require_fundamental(D)
+    require_fundamental(D)
     if D < 0:
         return _reduced_forms_definite(D)
     return [cycle[0] for cycle in _form_cycles(D)]
@@ -224,7 +198,7 @@ def pell_fundamental(D: int) -> tuple[int, int]:
     the (integer-verified) cube root of the x^2 - D y^2 = 1 solution, since
     the unit-group index divides 3.
     """
-    _require_fundamental(D)
+    require_fundamental(D)
     if D <= 0:
         raise ValueError("Pell solutions require D > 0")
     if D % 4 == 0:
@@ -309,13 +283,10 @@ class DiscreteMeasure:
     def __len__(self) -> int:
         return len(self.weights)
 
-    def points(self) -> list[Point]:
-        return [Point(float(x), float(y)) for x, y in zip(self.xs, self.ys)]
-
 
 def heegner_measure(D: int) -> DiscreteMeasure:
     """Uniform probability measure on the Heegner points of discriminant D < 0."""
-    _require_fundamental(D)
+    require_fundamental(D)
     if D >= 0:
         raise ValueError("Heegner measures require D < 0")
     forms = reduced_forms(D)
@@ -452,7 +423,7 @@ def cuspidal_mass(m: DiscreteMeasure, Y: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Plain-text serialisation (17 significant digits; exact decimal round-trip)
+# Plain-text tables (17 significant digits; exact decimal round-trip)
 
 
 def save_measure(m: DiscreteMeasure, path: str) -> None:
@@ -463,26 +434,32 @@ def save_measure(m: DiscreteMeasure, path: str) -> None:
             fh.write(f"{x:.17g} {y:.17g} {w:.17g}\n")
 
 
-def load_measure(path: str) -> DiscreteMeasure:
-    """Read a measure written by :func:`save_measure`."""
-    label = "measure"
-    xs, ys, ws = [], [], []
+def read_table(path: str, ncols: int) -> tuple[list[str], np.ndarray]:
+    """The '#' lines of a whitespace table and its rows as an (n, ncols) float array."""
+    comments, rows = [], []
     with open(path) as fh:
         for line in fh:
             line = line.strip()
-            if not line:
-                continue
             if line.startswith("#"):
-                if "label=" in line:
-                    # the label is a repr, and " atoms=N" always ends the header
-                    text = line.split("label=", 1)[1].rsplit(" atoms=", 1)[0]
-                    try:
-                        label = ast.literal_eval(text)
-                    except SyntaxError as exc:
-                        raise ValueError(f"malformed measure header: {line}") from exc
-                continue
-            sx, sy, sw = line.split()
-            xs.append(float(sx))
-            ys.append(float(sy))
-            ws.append(float(sw))
-    return DiscreteMeasure(np.array(xs), np.array(ys), np.array(ws), label=label)
+                comments.append(line)
+            elif line:
+                parts = line.split()
+                if len(parts) != ncols:
+                    raise ValueError(f"malformed row: {line!r} (expected {ncols} columns)")
+                rows.append([float(v) for v in parts])
+    return comments, np.array(rows, dtype=float).reshape(-1, ncols)
+
+
+def load_measure(path: str) -> DiscreteMeasure:
+    """Read a measure written by :func:`save_measure`."""
+    comments, rows = read_table(path, 3)
+    label = "measure"
+    for line in comments:
+        if "label=" in line:
+            # the label is a repr, and " atoms=N" always ends the header
+            text = line.split("label=", 1)[1].rsplit(" atoms=", 1)[0]
+            try:
+                label = ast.literal_eval(text)
+            except SyntaxError as exc:
+                raise ValueError(f"malformed measure header: {line}") from exc
+    return DiscreteMeasure(*rows.T, label=label)

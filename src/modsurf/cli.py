@@ -40,7 +40,6 @@ from .arithmetic import (
     save_measure,
 )
 from .eisenstein import (
-    EisensteinParams,
     MaassData,
     PartialBoundWarning,
     berry_esseen_rhs_many,
@@ -315,14 +314,13 @@ def cmd_duke(cfg: ExperimentConfig, args):
     mesh = _haar_mesh_bound(cfg.n_x, cfg.n_levels, cfg.y_max)
     cusp_bound = 3.0 / (math.pi * cfg.y_max)
     disc_bound = mesh + cusp_bound
-    eparams = EisensteinParams(t_max=max(3.0 * cfg.T, 15.0))
     ds = sorted(cfg.discriminants, key=abs)
     measures = [heegner_measure(D) if D < 0
                 else geodesic_measure(D, cfg.samples_per_unit_length) for D in ds]
     with warnings.catch_warnings():
         # the partial-bound note prints once above
         warnings.simplefilter("ignore", PartialBoundWarning)
-        bounds = berry_esseen_rhs_many(measures, grid, cfg.T, data, eparams)
+        bounds = berry_esseen_rhs_many(measures, grid, cfg.T, data)
     rows = []
     all_ok = True
     for D, m, bound in zip(ds, measures, bounds):

@@ -40,7 +40,7 @@ from .arithmetic import (
     DiscreteMeasure,
     geodesic_measure,
     heegner_measure,
-    is_fundamental,
+    read_table,
 )
 from .specfun import (
     UnderflowWarning,
@@ -48,6 +48,7 @@ from .specfun import (
     dirichlet_l,
     h_minus,
     h_plus,
+    require_fundamental,
     riemann_zeta,
 )
 
@@ -69,19 +70,15 @@ class EisensteinParams:
     ``n_fourier`` of None selects, per evaluation, the smallest n with
     2 pi n y_min > 40, making omitted Bessel terms negligible.
     ``t_quad`` is a (panels, nodes-per-panel) Gauss-Legendre descriptor for
-    each half-line of the spectral integral; ``t_max`` truncates it and
-    must cover at least 3T for the bandwidth in use.
+    each half-line of the spectral integral.
     """
 
     n_fourier: int | None = None
     t_quad: tuple[int, int] = (12, 16)
-    t_max: float = 15.0
 
     def __post_init__(self):
         if self.n_fourier is not None and self.n_fourier < 1:
             raise ValueError("n_fourier must be at least 1")
-        if self.t_max <= 0:
-            raise ValueError("t_max must be positive")
 
 
 DEFAULT_PARAMS = EisensteinParams()
@@ -208,8 +205,7 @@ def weyl_sum_exact_sq(D: int, t: float) -> float:
     Equals H_{sgn D}(t) / (4 sqrt|D| L(1, chi_D)^2) times
     |zeta(1/2+it) L(1/2+it, chi_D) / zeta(1+2it)|^2; nonnegative, even in t.
     """
-    if not is_fundamental(D):
-        raise ValueError(f"{D} is not a fundamental discriminant")
+    require_fundamental(D)
     t = _check_t(t)
     H = h_minus(t) if D < 0 else h_plus(t)
     L1 = dirichlet_l(1.0, D).real
@@ -266,18 +262,8 @@ class MaassData:
     @classmethod
     def load(cls, path: str) -> "MaassData":
         """Read rows "t_f weyl_sq_diff" from a plain-text file; '#' comments."""
-        tf, wd = [], []
-        with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                parts = line.split()
-                if len(parts) != 2:
-                    raise ValueError(f"malformed MaassData row: {line!r}")
-                tf.append(float(parts[0]))
-                wd.append(float(parts[1]))
-        return cls(np.array(tf), np.array(wd))
+        _, rows = read_table(path, 2)
+        return cls(*rows.T)
 
 
 @dataclass(frozen=True)
@@ -303,18 +289,18 @@ def berry_esseen_rhs_many(
 
     Each bound compares one of ``measures`` with ``reference``, whose Weyl
     sums are computed once for all of them.  The Eisenstein term is
-    (1/4 pi) int e^{-t^2/T^2}/(1/4+t^2) |Delta E(t)|^2 dt over |t| <= t_max
-    (Gauss-Legendre panels; nodes avoid t = 0), with the Gaussian tail
-    beyond t_max reported as an analytic bound rather than silently
-    dropped.  Without cuspidal data the results are partial evaluations of
-    the bound, flagged by ``is_partial`` and by one ``PartialBoundWarning``.
+    (1/4 pi) int e^{-t^2/T^2}/(1/4+t^2) |Delta E(t)|^2 dt over |t| <= t_max,
+    t_max = max(3T, 15) (Gauss-Legendre panels; nodes avoid t = 0), with
+    the Gaussian tail beyond t_max reported as an analytic bound rather
+    than silently dropped.  Without cuspidal data the results are partial
+    evaluations of the bound, flagged by ``is_partial`` and by one
+    ``PartialBoundWarning``.
     """
     if T < 1.0:
         raise ValueError("T must be at least 1")
-    if p.t_max < 3.0 * T:
-        raise ValueError(f"t_max = {p.t_max} is below 3T = {3*T}")
 
-    nodes, wts = gl_panels(0.0, p.t_max, *p.t_quad)
+    t_max = max(3.0 * T, 15.0)
+    nodes, wts = gl_panels(0.0, t_max, *p.t_quad)
     ref_sums = _weyl_sums(reference, nodes, p)
     weight = np.exp(-(nodes**2) / (T * T)) / (0.25 + nodes**2)
 
@@ -332,7 +318,6 @@ def berry_esseen_rhs_many(
         partial = False
 
     leading = 1.0 / T
-    a = p.t_max
     bounds = []
     for m in measures:
         # Python's scalar abs and ** round differently from np.abs and np.square
@@ -342,7 +327,8 @@ def berry_esseen_rhs_many(
 
         # tail bound: |Delta E|^2 <= 2 max computed, Gaussian decay past t_max
         m_sq = 2.0 * float(sq.max(initial=0.0))
-        tail = m_sq * math.exp(-a * a / (T * T)) * T * T / (2.0 * a * (0.25 + a * a))
+        tail = (m_sq * math.exp(-t_max * t_max / (T * T)) * T * T
+                / (2.0 * t_max * (0.25 + t_max * t_max)))
         tail *= 2.0 / (4.0 * math.pi)
 
         total = leading + math.sqrt(SURFACE_AREA) * math.sqrt(cusp + eis)

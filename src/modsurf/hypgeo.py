@@ -11,8 +11,9 @@ fundamental domain.
 The orbit geometry has one array form, used by every module of the
 package: ``mobius_image`` gives the image of a point array under a matrix
 (a, b; c, d) in real arithmetic, ``sinh_half_rho`` gives sinh(rho/2) for
-point pairs and ``pair_u`` gives u.  ``surface_distance_matrix`` holds the
-only minimum over ``NEIGHBOR_MATS``; ``surface_distance_to_point`` and
+point pairs, ``pair_u`` gives u and ``polar_image`` gives geodesic polar
+coordinates about i.  ``surface_distance_matrix`` holds the only minimum
+over ``NEIGHBOR_MATS``; ``surface_distance_to_point`` and
 ``surface_distance`` wrap it.  The Point forms ``mobius_apply`` and
 ``distance`` use complex and scalar arithmetic instead, so the test
 oracles built on them stay an independent route.
@@ -32,6 +33,10 @@ MIN_HEIGHT = 1e-12
 # Tolerance for fundamental-domain boundary decisions inside reduce().
 _BOUNDARY_EPS = 1e-15
 
+# Band around |z| = 1 where reduce() applies the x <= 0 tie-break of the arc;
+# images of arc points under words of length 8 come back up to 1.8e-14 off it.
+_ARC_EPS = 1e-13
+
 _MAX_REDUCE_STEPS = 256
 
 
@@ -49,14 +54,6 @@ class Point:
     def __post_init__(self):
         if not (self.y > 0.0) or not math.isfinite(self.x) or not math.isfinite(self.y):
             raise ValueError(f"point must have finite coordinates and y > 0, got {self}")
-
-    @property
-    def z(self) -> complex:
-        return complex(self.x, self.y)
-
-    @classmethod
-    def from_complex(cls, z: complex) -> "Point":
-        return cls(z.real, z.imag)
 
 
 @dataclass(frozen=True)
@@ -127,7 +124,8 @@ def reduce(z: Point) -> SurfacePoint:
 
     Alternates the translation normalising x into [-1/2, 1/2) with the
     inversion z -> -1/z while |z| < 1.  The boundary tie-break sends x > 0
-    on the unit circle to -x, so representatives are unique.
+    within ``_ARC_EPS`` of the unit circle to -x (applying S to the
+    matrix), so representatives are unique.
 
     Raises
     ------
@@ -152,14 +150,11 @@ def reduce(z: Point) -> SurfacePoint:
             if y < MIN_HEIGHT:
                 raise DegeneratePointError("point collapsed onto the real axis during reduction")
         else:
-            if r2 <= 1.0 + _BOUNDARY_EPS and x > 0.0:
-                x, y = -x / r2, y / r2
+            if r2 <= 1.0 + _ARC_EPS and x > 0.0:
+                # on the arc S acts as the reflection x -> -x; keeping y
+                # keeps |z|^2, and -x lies in (-1/2, 0)
+                x = -x
                 a, b, c, d = -c, -d, a, b
-                n = math.floor(x + 0.5)
-                if n != 0:
-                    x -= n
-                    a -= n * c
-                    b -= n * d
             return SurfacePoint(Point(x, y), UnimodularMatrix(a, b, c, d))
     raise DegeneratePointError(f"reduction of {z} did not terminate")
 
@@ -194,9 +189,8 @@ def geodesic_polar(u: float, theta: float) -> Point:
     """Point at invariant u from i in direction theta (geodesic polar coordinates)."""
     if u < 0.0:
         raise ValueError("u must be nonnegative")
-    s = 2.0 * math.sqrt(u * (u + 1.0))
-    den = 1.0 + 2.0 * u + s * math.cos(theta)
-    return Point(s * math.sin(theta) / den, 1.0 / den)
+    x, y = polar_image(u, theta)
+    return Point(float(x), float(y))
 
 
 # ---------------------------------------------------------------------------
@@ -222,10 +216,10 @@ def reduce_batch(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray
         y = np.where(inside, y / r2, y)
     else:
         raise DegeneratePointError("batch reduction did not terminate")
-    # boundary tie-break on the arc, applied once the orbit representative is
-    # found; x < 1/2 already, as x - floor(x + 1/2) is computed exactly
+    # boundary tie-break on the arc as in reduce, applied once the orbit
+    # representative is found; x < 1/2 already, as x - floor(x + 1/2) is exact
     r2 = x * x + y * y
-    arc = (r2 <= 1.0 + _BOUNDARY_EPS) & (x > 0.0)
+    arc = (r2 <= 1.0 + _ARC_EPS) & (x > 0.0)
     x = np.where(arc, -x, x)
     return x, y
 
@@ -239,6 +233,13 @@ def mobius_image(a, b, c, d, xs, ys) -> tuple[np.ndarray, np.ndarray]:
     den = c * xs + d
     den2 = den**2 + (c * ys) ** 2
     return ((a * xs + b) * den + a * c * ys**2) / den2, ys / den2
+
+
+def polar_image(u, theta) -> tuple[np.ndarray, np.ndarray]:
+    """(x, y) at invariant u >= 0 from i in direction theta; u and theta broadcast."""
+    s = 2.0 * np.sqrt(u * (u + 1.0))
+    den = 1.0 + 2.0 * u + s * np.cos(theta)
+    return s * np.sin(theta) / den, 1.0 / den
 
 
 def sinh_half_rho(x1, y1, x2, y2) -> np.ndarray:

@@ -164,9 +164,19 @@ def kronecker_symbol(D: int, n: int) -> int:
     return k if b == 1 else 0
 
 
-def _check_fundamental(D: int) -> None:
-    from .arithmetic import is_fundamental
+def _squarefree(n: int) -> bool:
+    return all(n % (d * d) for d in range(2, math.isqrt(abs(n)) + 1))
 
+
+def is_fundamental(D: int) -> bool:
+    """True iff D is a fundamental discriminant (trial division)."""
+    if D % 4 == 1:
+        return D != 1 and _squarefree(D)
+    return D % 4 == 0 and (D // 4) % 4 in (2, 3) and _squarefree(D // 4)
+
+
+def require_fundamental(D: int) -> None:
+    """Raise ValueError unless D is a fundamental discriminant."""
     if not is_fundamental(D):
         raise ValueError(f"{D} is not a fundamental discriminant")
 
@@ -178,7 +188,7 @@ def dirichlet_l(s: complex, D: int) -> complex:
     digamma formula L(1, chi) = -(1/q) sum_a chi(a) psi(a/q) is used, which
     avoids the cancelling zeta poles.
     """
-    _check_fundamental(D)
+    require_fundamental(D)
     q = abs(D)
     a = np.arange(1, q + 1)
     chi = np.array([kronecker_symbol(D, int(x)) for x in a], dtype=float)

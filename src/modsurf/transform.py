@@ -27,14 +27,14 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
 from ._gl import gl_panels
 from .hypgeo import (GEN_S, GEN_T, Point, canonical_sign, fundamental_domain_grid,
-                     mobius_image, pair_u, reduce, sinh_half_rho)
+                     mobius_image, pair_u, polar_image, reduce, sinh_half_rho)
 from .specfun import conical_p
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -46,10 +46,12 @@ _TABLE_POINTS = 6000
 
 # Gauss-Legendre (panels, nodes per panel) of the fixed quadratures: the
 # inner integral of k_of_rho, the rho-integrals of the transform identities
-# and the t-integral of the spectral route.
+# and of kernel_mass_on_surface's dropped tail, and the t-integral of the
+# spectral route.
 _K_INNER_NODES = (10, 24)
 _MASS_NODES = (12, 24)
 _FORWARD_NODES = (10, 24)
+_TAIL_NODES = (6, 24)
 _SPECTRAL_NODES = (24, 24)
 
 
@@ -57,18 +59,13 @@ class TruncationWarning(RuntimeWarning):
     """Group-sum truncation may have dropped terms above tolerance."""
 
 
-def _bandwidth(params) -> float:
-    return params.T if hasattr(params, "T") else float(params)
-
-
-def h_test(t: complex, params) -> float:
-    """Test function h(t) = exp(-(t^2 + 1/4) / (2 T^2)).
+def h_test(t: complex, T: float) -> float:
+    """Test function h(t) = exp(-(t^2 + 1/4) / (2 T^2)) at bandwidth T.
 
     Defined for real t and for purely imaginary t = i sigma with
     |sigma| <= 1/2; in both cases the value is real and positive, and
-    h(i/2) = 1.  ``params`` is a TransformParams or a bare bandwidth.
+    h(i/2) = 1.
     """
-    T = _bandwidth(params)
     t = complex(t)
     if abs(t.imag) > 0.0:
         if abs(t.real) > 1e-12 or abs(t.imag) > 0.5 + 1e-12:
@@ -77,9 +74,8 @@ def h_test(t: complex, params) -> float:
     return math.exp(-(t2 + 0.25) / (2.0 * T * T))
 
 
-def inner_sine_integral(v: float | np.ndarray, params):
+def inner_sine_integral(v: float | np.ndarray, T: float):
     """Closed form of int h(t) t sin(tv) dt: sqrt(2 pi) T^3 e^{-1/8T^2} v e^{-T^2 v^2/2}."""
-    T = _bandwidth(params)
     v = np.asarray(v, dtype=float)
     out = _SQRT_2PI * T**3 * math.exp(-1.0 / (8.0 * T * T)) * v * np.exp(-0.5 * T * T * v * v)
     return out if out.ndim else float(out)
@@ -132,24 +128,20 @@ def k_kernel_spectral(u: float, params: "TransformParams") -> float:
 
 @dataclass(frozen=True)
 class TransformParams:
-    """Spectral bandwidth plus kernel truncation and quadrature controls."""
+    """Bandwidth T; u_cutoff, the 1e-14 relative decay point of k, comes from its table."""
 
     T: float
-    u_cutoff: float
+    u_cutoff: float = field(init=False)
 
     def __post_init__(self):
         if self.T < 1.0:
             raise ValueError("bandwidth T must be at least 1")
-        if self.u_cutoff <= 0.0:
-            raise ValueError("u_cutoff must be positive")
+        object.__setattr__(self, "u_cutoff", _kernel_table(self.T).u_cutoff)
 
     @classmethod
     def default(cls, T: float) -> "TransformParams":
-        """Parameters with u_cutoff at the 1e-14 relative decay point of k."""
-        if T < 1.0:
-            raise ValueError("bandwidth T must be at least 1")
-        table = _kernel_table(T)
-        return cls(T=T, u_cutoff=table.u_cutoff)
+        """The parameters of bandwidth T; the same as ``TransformParams(T)``."""
+        return cls(T)
 
 
 class _KernelTable:
@@ -161,10 +153,7 @@ class _KernelTable:
         self.rho = np.linspace(0.0, rho_max, _TABLE_POINTS)
         self.k = k_of_rho(self.rho, T)
         self.k0 = float(self.k[0])
-        below = np.nonzero(self.k < _CUTOFF_REL * self.k0)[0]
-        idx = below[0] if len(below) else _TABLE_POINTS - 1
-        self.rho_cut = float(self.rho[idx])
-        self.u_cutoff = float(math.sinh(0.5 * self.rho_cut) ** 2)
+        self.u_cutoff = float(math.sinh(0.5 * self.rho_at_level(_CUTOFF_REL)) ** 2)
 
     def eval_u(self, u: np.ndarray) -> np.ndarray:
         rho = 2.0 * np.arcsinh(np.sqrt(np.maximum(u, 0.0)))
@@ -185,24 +174,24 @@ def _kernel_table(T: float) -> _KernelTable:
 # Transform identities
 
 
+def _weighted_k(T: float, lo: float, hi: float, nodes: tuple[int, int]):
+    """Gauss-Legendre nodes rho on [lo, hi] with weight times k(rho) at each node."""
+    rho, w = gl_panels(lo, hi, *nodes)
+    return rho, w * k_of_rho(rho, T)
+
+
 def kernel_mass_integral(params: "TransformParams") -> float:
     """4 pi int_0^inf k(u) du, evaluated on the geodesic scale; equals h(i/2) = 1."""
-    T = params.T
-    rho_hi = 10.0 / T + 2.5
-    rho, w = gl_panels(0.0, rho_hi, *_MASS_NODES)
-    k = k_of_rho(rho, T)
-    return float(4.0 * math.pi * (w * k * 0.5 * np.sinh(rho)).sum())
+    rho, wk = _weighted_k(params.T, 0.0, 10.0 / params.T + 2.5, _MASS_NODES)
+    return float(4.0 * math.pi * (wk * 0.5 * np.sinh(rho)).sum())
 
 
 def forward_transform(t: float, params: "TransformParams") -> float:
     """Recover h(t) as 4 pi int k(u) P_{-1/2+it}(1+2u) du (round-trip identity)."""
-    T = params.T
-    rho_hi = 10.0 / T + 2.5
-    rho, w = gl_panels(0.0, rho_hi, *_FORWARD_NODES)
-    k = k_of_rho(rho, T)
+    rho, wk = _weighted_k(params.T, 0.0, 10.0 / params.T + 2.5, _FORWARD_NODES)
     u = np.sinh(0.5 * rho) ** 2
     p = np.array([conical_p(t, float(uu)) for uu in u])
-    return float(4.0 * math.pi * (w * k * p * 0.5 * np.sinh(rho)).sum())
+    return float(4.0 * math.pi * (wk * p * 0.5 * np.sinh(rho)).sum())
 
 
 def arsinh_moment(params: "TransformParams") -> tuple[float, float]:
@@ -215,10 +204,8 @@ def arsinh_moment(params: "TransformParams") -> tuple[float, float]:
     moment for every T >= 1 and is O(1/T).
     """
     T = params.T
-    rho_hi = 10.0 / T + 2.5
-    rho, w = gl_panels(0.0, rho_hi, *_MASS_NODES)
-    k = k_of_rho(rho, T)
-    moment = float((w * k * 0.25 * rho * np.sinh(rho)).sum())
+    rho, wk = _weighted_k(T, 0.0, 10.0 / T + 2.5, _MASS_NODES)
+    moment = float((wk * 0.25 * rho * np.sinh(rho)).sum())
     v, wv = gl_panels(0.0, 9.0, 8, 24)
     integ = v * v * np.exp(-v * v) * np.sinh(v / (math.sqrt(2.0) * T))
     majorant = float(
@@ -391,9 +378,8 @@ def kernel_mass_on_surface(
     k_top = tab.eval_u(pair_u(gx, gy, zr.x, zr.y)).sum(axis=0)
     tail_cusp = float(k_top.max()) / y_cut
     # dropped k-tail beyond the tile radius: 4 pi int_{u_lim}^inf k du
-    rho_hi = 12.0 / params.T + 3.0
-    rho, wq = gl_panels(rho_tile, rho_hi, 6, 24)
-    tail_k = float(4.0 * math.pi * (wq * k_of_rho(rho, params.T) * 0.5 * np.sinh(rho)).sum())
+    rho, wk = _weighted_k(params.T, rho_tile, 12.0 / params.T + 3.0, _TAIL_NODES)
+    tail_k = float(4.0 * math.pi * (wk * 0.5 * np.sinh(rho)).sum())
     return mass, abs(tail_cusp) + abs(tail_k)
 
 
@@ -460,10 +446,7 @@ def smooth(F, eps: float, z: Point) -> float:
     q, wq = gl_panels(0.0, 1.0, 4, _SMOOTH_Q_NODES)
     theta = (np.arange(_SMOOTH_THETAS) + 0.5) * (2.0 * math.pi / _SMOOTH_THETAS)
     u = S * q * q
-    root = 2.0 * np.sqrt(u * (u + 1.0))
-    den = 1.0 + 2.0 * u[:, None] + root[:, None] * np.cos(theta)[None, :]
-    px = root[:, None] * np.sin(theta)[None, :] / den
-    py = 1.0 / den
+    px, py = polar_image(u[:, None], theta[None, :])
     # move the polar patch from i to z by the affine isometry w = x + y*(px + i py)
     wx = z.x + z.y * px
     wy = z.y * py

@@ -21,7 +21,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from . import hypgeo
-from .arithmetic import DiscreteMeasure
+from .arithmetic import DiscreteMeasure, read_table
 from .hypgeo import Point, surface_distance_matrix, surface_distance_to_point
 
 _COST_SIZE_LIMIT = 4 * 10**8  # entries
@@ -38,8 +38,6 @@ class CostMatrix:
     """Pairwise surface distances between the atoms of two measures."""
 
     entries: np.ndarray
-    row_points: tuple[np.ndarray, np.ndarray]
-    col_points: tuple[np.ndarray, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -84,7 +82,7 @@ def cost_matrix(m1: DiscreteMeasure, m2: DiscreteMeasure) -> CostMatrix:
     if len(m1) * len(m2) > _COST_SIZE_LIMIT:
         raise ValueError("cost matrix would exceed the size guard")
     entries = surface_distance_matrix(m1.xs, m1.ys, m2.xs, m2.ys)
-    return CostMatrix(entries=entries, row_points=(m1.xs, m1.ys), col_points=(m2.xs, m2.ys))
+    return CostMatrix(entries=entries)
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +229,14 @@ _SINKHORN_ITERS = 60_000
 _SELF_ITERS = 3000
 
 
+def _eps_ladder(reg):
+    """Epsilon-scaling levels: ``reg`` doubled up to 1 (capped), largest first."""
+    levels = [reg]
+    while levels[-1] < 1.0:
+        levels.append(min(1.0, levels[-1] * 2.0))
+    return levels[::-1]
+
+
 def _sinkhorn_plan_cost(a, b, cost, reg):
     """Transport cost of the entropic plan; stabilised scaling iterations.
 
@@ -243,15 +249,11 @@ def _sinkhorn_plan_cost(a, b, cost, reg):
     logb = np.log(b)
     f = np.zeros(len(a))
     g = np.zeros(len(b))
-    levels = [reg]
-    while levels[-1] < 1.0:
-        levels.append(min(1.0, levels[-1] * 2.0))
-    levels.reverse()
 
     def kernel(eps):
         return np.exp((f[:, None] + g[None, :] - cost) / eps + loga[:, None] + logb[None, :])
 
-    for eps in levels:
+    for eps in _eps_ladder(reg):
         final = eps == reg
         budget = _SINKHORN_ITERS if final else 300
         target = 3e-8 if final else 1e-8
@@ -322,11 +324,7 @@ def _sym_self_plan_cost(a, cost, reg):
     loga = np.log(a)
     n = len(a)
     f = np.zeros(n)
-    levels = [reg]
-    while levels[-1] < 1.0:
-        levels.append(min(1.0, levels[-1] * 2.0))
-    levels.reverse()
-    for eps in levels:
+    for eps in _eps_ladder(reg):
         for it in range(_SELF_ITERS):
             lse = logsumexp((f[None, :] - cost) / eps + loga[None, :], axis=1)
             f_new = 0.5 * f + 0.5 * (-eps * lse)  # averaged fixed-point update
@@ -381,7 +379,7 @@ def best_dual_lower_bound(m1: DiscreteMeasure, m2: DiscreteMeasure) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Plan serialisation (same table format as measures)
+# Plan serialisation (same table format and reader as measures)
 
 
 def save_plan(p: TransportPlan, path: str) -> None:
@@ -393,18 +391,18 @@ def save_plan(p: TransportPlan, path: str) -> None:
 
 
 def load_plan(path: str, shape: tuple[int, int]) -> TransportPlan:
-    """Read a plan written by :func:`save_plan`."""
-    plan = np.zeros(shape)
+    """Read a plan written by :func:`save_plan`; indices must be integers within ``shape``."""
+    comments, rows = read_table(path, 3)
     value = float("nan")
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                if "value=" in line:
-                    value = float(line.split("value=", 1)[1].split()[0])
-                continue
-            si, sj, sm = line.split()
-            plan[int(si), int(sj)] = float(sm)
+    for line in comments:
+        if "value=" in line:
+            value = float(line.split("value=", 1)[1].split()[0])
+    ij = rows[:, :2]
+    bad = ((ij != np.floor(ij)) | (ij < 0) | (ij >= shape)).any(axis=1)
+    if bad.any():
+        i, j, mass = rows[np.argmax(bad)]
+        raise ValueError(f"plan row '{i:g} {j:g} {mass:.17g}' has indices that are not "
+                         f"integers within {shape[0]}x{shape[1]}")
+    plan = np.zeros(shape)
+    plan[tuple(ij.astype(int).T)] = rows[:, 2]
     return TransportPlan(plan=plan, value=value)

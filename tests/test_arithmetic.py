@@ -19,11 +19,14 @@ from modsurf.arithmetic import (
     is_fundamental,
     load_measure,
     pell_fundamental,
+    read_table,
     reduced_forms,
     save_measure,
 )
+from modsurf.eisenstein import MaassData
 from modsurf.hypgeo import Point, distance, mobius_apply
 from modsurf.specfun import dirichlet_l
+from modsurf.transport import load_plan
 
 from oracles import geodesic_path_points
 
@@ -269,6 +272,34 @@ class TestSerialisation:
         save_measure(m, path)
         m2 = load_measure(path)
         assert np.array_equal(m.weights, m2.weights)
+
+
+class TestReadTable:
+    def test_comments_and_rows(self, tmp_path):
+        path = tmp_path / "t.txt"
+        path.write_text("# head\n1 2.5\n\n  # note\n-3 4e-2\n")
+        comments, rows = read_table(str(path), 2)
+        assert comments == ["# head", "# note"]
+        assert rows.shape == (2, 2)
+        assert rows.tolist() == [[1.0, 2.5], [-3.0, 0.04]]
+
+    def test_empty_table(self, tmp_path):
+        path = tmp_path / "t.txt"
+        path.write_text("# only a header\n")
+        assert read_table(str(path), 3)[1].shape == (0, 3)
+
+    @pytest.mark.parametrize("loader, row", [
+        (load_measure, "0.0 2.0"),
+        (load_measure, "0.0 2.0 1.0 7"),
+        (lambda path: load_plan(path, (2, 2)), "0 1"),
+        (lambda path: load_plan(path, (2, 2)), "0 1 0.5 7"),
+        (MaassData.load, "9.5"),
+    ], ids=["measure-2", "measure-4", "plan-2", "plan-4", "maass-1"])
+    def test_loaders_reject_column_count(self, tmp_path, loader, row):
+        path = tmp_path / "t.txt"
+        path.write_text(f"# header\n{row}\n")
+        with pytest.raises(ValueError, match="malformed row"):
+            loader(str(path))
 
 
 class TestQuadraticFormType:

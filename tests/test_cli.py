@@ -299,6 +299,15 @@ class TestWassersteinInput:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and "bad.txt" in err
 
+    def test_two_column_measure_exit_two(self, tmp_path, monkeypatch, capsys):
+        short = tmp_path / "short.txt"
+        short.write_text("# modsurf-measure label='s' atoms=1\n0.0 2.0\n")
+        code = run(["wasserstein", str(short), str(short)], tmp_path, monkeypatch)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "short.txt" in err and "malformed" in err
+
+
 
 # The CSV header of each subcommand, as the README and the golden files have it.
 HEADERS = {

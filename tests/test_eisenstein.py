@@ -6,6 +6,8 @@ import warnings
 import numpy as np
 import pytest
 
+from modsurf import eisenstein
+from modsurf._gl import gl_panels
 from modsurf.arithmetic import (
     DiscreteMeasure,
     geodesic_measure,
@@ -222,10 +224,20 @@ class TestBerryEsseen:
         with pytest.warns(UserWarning):
             berry_esseen_rhs(m, m2, 1.0)
 
-    def test_t_max_guard(self):
-        m = heegner_measure(-7)
-        with pytest.raises(ValueError):
-            berry_esseen_rhs(m, m, 6.0, p=EisensteinParams(t_max=15.0))
+    def test_t_max_is_three_T(self, monkeypatch):
+        # past T = 5 the t-integral runs to 3T, here 18, instead of 15
+        spans = []
+
+        def recording_panels(a, b, *rest):
+            spans.append((a, b))
+            return gl_panels(a, b, *rest)
+
+        monkeypatch.setattr(eisenstein, "gl_panels", recording_panels)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", PartialBoundWarning)
+            b = berry_esseen_rhs(heegner_measure(-7), heegner_measure(-8), 6.0)
+        assert spans == [(0.0, 18.0)]
+        assert b.eisenstein_term > 0.0 and math.isfinite(b.total)
 
     def test_tail_bound_reported(self):
         m1 = heegner_measure(-7)

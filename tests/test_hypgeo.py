@@ -257,11 +257,27 @@ class TestReduceProperties:
             for px, py in ((r.x, r.y), (x, y)):
                 assert -0.5 <= px < 0.5
                 assert px * px + py * py >= 1.0 - 1e-14
-                # the tie-break holds where reduce places the arc, within
-                # _BOUNDARY_EPS of |z| = 1; an image of an arc point can be
-                # off by more (2.2e-15 for the corner under S T^-3 S T^-1)
-                if px * px + py * py <= 1.0 + hg._BOUNDARY_EPS:
+                # the tie-break holds in reduce's arc band, within _ARC_EPS
+                # of |z| = 1; images of arc points under these words come
+                # back up to 1.8e-14 off the arc (2.2e-15 for the corner
+                # under S T^-3 S T^-1, see test_arc_tie_break_off_the_arc)
+                if px * px + py * py <= 1.0 + hg._ARC_EPS:
                     assert px <= 0.0
+
+
+    def test_arc_tie_break_off_the_arc(self):
+        # S T^-3 S T^-1 moves the corner to a point that reduces 2.2e-15
+        # outside the unit circle; it still takes the x <= 0 representative
+        Ti = GEN_T.inverse()
+        g = GEN_S @ Ti @ Ti @ Ti @ GEN_S @ Ti
+        assert g == UnimodularMatrix(-1, 1, -3, 2)
+        z = mobius_apply(g, Point(-0.5, math.sqrt(3.0) / 2.0))
+        r = reduce(z)
+        bx, by = hg.reduce_batch(np.array([z.x]), np.array([z.y]))
+        assert abs(r.point.x + 0.5) < 1e-15 and r.point.x < 0.0
+        assert (bx[0], by[0]) == (r.point.x, r.point.y)
+        w = mobius_apply(r.reducing_matrix, z)
+        assert math.hypot(w.x - r.point.x, w.y - r.point.y) < 1e-14
 
 
 class TestHeight:

@@ -1,5 +1,7 @@
-"""The benchmark's traced run must find every function it wraps."""
+"""Tooling checks: the traced benchmark run finds every function it wraps,
+and src imports only at module level."""
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -7,6 +9,7 @@ from pathlib import Path
 import pytest
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+SRC = Path(__file__).resolve().parent.parent / "src" / "modsurf"
 
 
 def _tracer():
@@ -30,3 +33,15 @@ def test_layer_resolves(qual):
 def test_cli_handler_resolves(command):
     cli = importlib.import_module("modsurf.cli")
     assert callable(getattr(cli, "cmd_" + command.replace("-", "_"), None))
+
+
+def test_no_imports_inside_functions():
+    # every import sits at module level, so an import cycle between the
+    # layers fails at import time instead of hiding inside a function
+    nested = []
+    for path in sorted(SRC.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                nested += [f"{path.name}:{node.lineno} in {fn.name}" for node in ast.walk(fn)
+                           if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert not nested, nested

@@ -51,9 +51,6 @@ class TestHTest:
         expected = math.exp(-0.5) * math.exp(-1.0 / (8 * T * T))
         assert abs(h_test(T, T) - expected) < 1e-15
 
-    def test_accepts_params_object(self, params_t2):
-        assert h_test(0.0, params_t2) == h_test(0.0, 2.0)
-
     def test_domain(self):
         with pytest.raises(ValueError):
             h_test(0.7j, 1.0)
@@ -106,7 +103,7 @@ class TestKernel:
         with pytest.raises(ValueError):
             TransformParams.default(0.5)
         with pytest.raises(ValueError):
-            TransformParams(T=0.8, u_cutoff=1.0)
+            TransformParams(T=0.8)
 
 
 class TestForwardTransform:

@@ -364,6 +364,16 @@ class TestPlanSerialisation:
         assert np.array_equal(plan.plan, p2.plan)
         assert p2.value == plan.value
 
+    @pytest.mark.parametrize("row", ["-1 0 0.5", "2 0 0.5", "0 2 0.5", "1.5 0 0.5",
+                                     "0 nan 0.5"])
+    def test_bad_index_rejected(self, tmp_path, row):
+        # negative, past the shape, non-integral or NaN: each names the row
+        path = tmp_path / "plan.txt"
+        path.write_text(f"# modsurf-plan value=0.5 shape=2x2\n0 0 0.5\n{row}\n")
+        with pytest.raises(ValueError, match="plan row") as exc:
+            load_plan(str(path), (2, 2))
+        assert " ".join(row.split()[:2]) in str(exc.value)
+
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(small_measure(), small_measure())
     def test_round_trip_bit_exact(self, tmp_path_factory, m1, m2):
