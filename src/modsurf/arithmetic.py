@@ -158,66 +158,32 @@ def class_number(D: int) -> int:
 # Pell equation and closed geodesics
 
 
-def _pell_unit(n: int) -> tuple[int, int]:
-    """Fundamental solution of x^2 - n y^2 = 1 by continued fractions."""
-    a0 = math.isqrt(n)
-    m, d, a = 0, 1, a0
-    h0, h1 = 1, a0
-    k0, k1 = 0, 1
-    for _ in range(_PELL_MAX_PERIOD):
-        if h1 * h1 - n * k1 * k1 == 1:
-            return h1, k1
-        m = d * a - m
-        d = (n - m * m) // d
-        a = (a0 + m) // d
-        h0, h1 = h1, a * h1 + h0
-        k0, k1 = k1, a * k1 + k0
-    raise RuntimeError(f"Pell solver exceeded {_PELL_MAX_PERIOD} iterations for n = {n}")
-
-
-def _icbrt(n: int) -> int:
-    # integer Newton iteration; safe for n beyond float range
-    r = 1 << ((n.bit_length() + 2) // 3)
-    while True:
-        r2 = (2 * r + n // (r * r)) // 3
-        if r2 >= r:
-            break
-        r = r2
-    while r**3 > n:
-        r -= 1
-    while (r + 1) ** 3 <= n:
-        r += 1
-    return r
-
-
 def pell_fundamental(D: int) -> tuple[int, int]:
     """Smallest positive solution (t, u) of t^2 - D u^2 = 4.
 
-    For D = 0 mod 4 this reduces to the classical Pell equation for D/4.
-    For D = 1 mod 4 the fundamental unit may be half-integral; it is then
-    the (integer-verified) cube root of the x^2 - D y^2 = 1 solution, since
-    the unit-group index divides 3.
+    With P = D mod 2 and omega = (P + sqrt(D))/2, the order of
+    discriminant D is Z[omega], and p - q omega' = (2p - Pq + q sqrt(D))/2
+    has norm ((2p - Pq)^2 - D q^2)/4.  Such units of norm 1 come from
+    convergents p/q of omega, so one continued fraction of omega is
+    expanded until the first convergent with (2p - Pq)^2 - D q^2 = 4, and
+    (t, u) = (2p - Pq, q).
     """
     require_fundamental(D)
     if D <= 0:
         raise ValueError("Pell solutions require D > 0")
-    if D % 4 == 0:
-        x, y = _pell_unit(D // 4)
-        return 2 * x, y
-    x, y = _pell_unit(D)
-    # try eta with eta^3 = x + y sqrt(D): eta ~ cbrt(2x), t = eta + 1/eta
-    eta = _icbrt(2 * x)
-    t0 = eta if eta >= 3 else round(eta + 1.0 / max(eta, 1))
-    for t in (t0 - 1, t0, t0 + 1, t0 + 2):
-        if t <= 0:
-            continue
-        v = t * t - 4
-        if v % D == 0:
-            u2 = v // D
-            u = math.isqrt(u2)
-            if u > 0 and u * u == u2 and (t + u) % 2 == 0:
-                return t, u
-    return 2 * x, 2 * y
+    P, s = D % 2, math.isqrt(D)
+    m, d = P, 2  # complete quotient (m + sqrt(D))/d, starting at omega
+    p, p_prev, q, q_prev = 1, 0, 0, 1
+    for _ in range(_PELL_MAX_PERIOD):
+        a = (m + s) // d
+        p, p_prev = a * p + p_prev, p
+        q, q_prev = a * q + q_prev, q
+        t = 2 * p - P * q
+        if t * t - D * q * q == 4:
+            return t, q
+        m = a * d - m
+        d = (D - m * m) // d
+    raise RuntimeError(f"Pell solver exceeded {_PELL_MAX_PERIOD} steps for D = {D}")
 
 
 @lru_cache(maxsize=64)
@@ -289,15 +255,9 @@ def heegner_measure(D: int) -> DiscreteMeasure:
     require_fundamental(D)
     if D >= 0:
         raise ValueError("Heegner measures require D < 0")
-    forms = reduced_forms(D)
-    pts = [hypgeo.reduce(f.heegner_point()).point for f in forms]
-    h = len(forms)
-    return DiscreteMeasure(
-        np.array([p.x for p in pts]),
-        np.array([p.y for p in pts]),
-        np.full(h, 1.0 / h),
-        label=f"heegner D={D}",
-    )
+    pts = [f.heegner_point() for f in reduced_forms(D)]
+    xs, ys = hypgeo.reduce_batch([p.x for p in pts], [p.y for p in pts])
+    return DiscreteMeasure(xs, ys, np.full(len(pts), 1.0 / len(pts)), label=f"heegner D={D}")
 
 
 def _apex(f: QuadraticForm, D: int) -> tuple[float, float]:

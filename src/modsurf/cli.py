@@ -4,8 +4,9 @@ All subcommands take --config, --out and --json; mollify-check also takes
 --seed, duke --maass-data, and wasserstein two measure files and
 --plan-out.  ``modsurf <command> --help`` lists a command's CSV columns.
 
-Exit codes: 0 all checks pass, 1 check failure, 2 configuration error or
-bad arguments (one line on stderr).
+Exit codes: 0 all checks pass, 1 check failure, 2 configuration error,
+bad arguments, or measures too large for the exact solver (one line on
+stderr).
 
 The configuration file is flat INI (sections [experiment], [haar],
 [geodesic], [tolerances]); every key has a default, so a config file is
@@ -48,7 +49,8 @@ from .eisenstein import (
 from .hypgeo import Point, sinh_half_rho
 from .specfun import dirichlet_l
 from .transform import TransformParams
-from .transport import best_dual_lower_bound, clipped_distance, save_plan, w1_exact
+from .transport import (SupportLimitError, best_dual_lower_bound, clipped_distance, save_plan,
+                        w1_exact)
 
 
 class ConfigError(ValueError):
@@ -82,18 +84,27 @@ class ExperimentConfig:
         return self.bandwidths[0]
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            values = value if isinstance(value, tuple) else (value,)
+            if any(isinstance(v, float) and not math.isfinite(v) for v in values):
+                raise ConfigError(f"{f.name} must be finite")
+            if f.name.startswith("tol_") and value <= 0:
+                raise ConfigError(f"{f.name} must be positive")
+        if not self.bandwidths or not self.t_values:
+            raise ConfigError("bandwidth and t_values must each list at least one value")
         if any(T < 1.0 for T in self.bandwidths):
             raise ConfigError("bandwidth T must be at least 1")
         for D in self.discriminants:
             if not is_fundamental(D):
                 raise ConfigError(f"{D} is not a fundamental discriminant")
-        for f in fields(self):
-            if f.name.startswith("tol_") and getattr(self, f.name) <= 0:
-                raise ConfigError(f"{f.name} must be positive")
         if self.y_max < 2.0:
             raise ConfigError("y_max must be at least 2")
-        if self.samples_per_unit_length <= 0:
-            raise ConfigError("samples_per_unit_length must be positive")
+        if min(self.samples_per_unit_length, self.n_x, self.n_levels, *self.eps_list) <= 0:
+            raise ConfigError("samples_per_unit_length, n_x, n_levels and eps_list "
+                              "must be positive")
+        if self.seed < 0:
+            raise ConfigError("seed must be nonnegative")
 
 
 # INI section -> {key: config field}; a value parses as the type of the
@@ -484,7 +495,7 @@ def main(argv=None) -> int:
         # looked up by name at call time, so a replaced module attribute is called
         rows, ok = globals()["cmd_" + args.command.replace("-", "_")](cfg, args)
         _emit(rows, COMMANDS[args.command][1], args.out, args.json)
-    except ConfigError as exc:
+    except (ConfigError, SupportLimitError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     return 0 if ok else 1

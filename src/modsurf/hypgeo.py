@@ -8,6 +8,10 @@ standard fundamental domain, the quotient distance, cusp height, geodesic
 polar coordinates, and an exact-in-measure quadrature grid over the
 fundamental domain.
 
+Reduction has one implementation, the array function ``_gauss_reduce``,
+which also returns the reducing matrices; ``reduce_batch`` keeps only the
+coordinates, and ``reduce`` wraps it for one Point and its matrix.
+
 The orbit geometry has one array form, used by every module of the
 package: ``mobius_image`` gives the image of a point array under a matrix
 (a, b; c, d) in real arithmetic, ``sinh_half_rho`` gives sinh(rho/2) for
@@ -30,10 +34,10 @@ import numpy as np
 # Points with smaller imaginary part are treated as numerically degenerate.
 MIN_HEIGHT = 1e-12
 
-# Tolerance for fundamental-domain boundary decisions inside reduce().
+# Tolerance for the inversion test of the Gauss reduction.
 _BOUNDARY_EPS = 1e-15
 
-# Band around |z| = 1 where reduce() applies the x <= 0 tie-break of the arc;
+# Band around |z| = 1 where the reduction applies the x <= 0 tie-break of the arc;
 # images of arc points under words of length 8 come back up to 1.8e-14 off it.
 _ARC_EPS = 1e-13
 
@@ -120,43 +124,16 @@ def point_pair_u(z: Point, w: Point) -> float:
 
 
 def reduce(z: Point) -> SurfacePoint:
-    """Reduce a point to the standard fundamental domain by Gauss's algorithm.
+    """Reduce a point to the standard fundamental domain by ``_gauss_reduce``.
 
-    Alternates the translation normalising x into [-1/2, 1/2) with the
-    inversion z -> -1/z while |z| < 1.  The boundary tie-break sends x > 0
-    within ``_ARC_EPS`` of the unit circle to -x (applying S to the
-    matrix), so representatives are unique.
-
-    Raises
-    ------
-    DegeneratePointError
-        If y < 1e-12 or the iteration fails to settle (input numerically
-        on the real axis).
+    The first translation n = floor(x + 1/2) is taken in Python integers,
+    so the matrix stays exact for any finite x.  Raises DegeneratePointError
+    as ``_gauss_reduce`` does.
     """
-    x, y = z.x, z.y
-    if y < MIN_HEIGHT:
-        raise DegeneratePointError(f"point with y = {y} is numerically degenerate")
-    a, b, c, d = 1, 0, 0, 1
-    for _ in range(_MAX_REDUCE_STEPS):
-        n = math.floor(x + 0.5)
-        if n != 0:
-            x -= n
-            a -= n * c
-            b -= n * d
-        r2 = x * x + y * y
-        if r2 < 1.0 - _BOUNDARY_EPS:
-            x, y = -x / r2, y / r2
-            a, b, c, d = -c, -d, a, b
-            if y < MIN_HEIGHT:
-                raise DegeneratePointError("point collapsed onto the real axis during reduction")
-        else:
-            if r2 <= 1.0 + _ARC_EPS and x > 0.0:
-                # on the arc S acts as the reflection x -> -x; keeping y
-                # keeps |z|^2, and -x lies in (-1/2, 0)
-                x = -x
-                a, b, c, d = -c, -d, a, b
-            return SurfacePoint(Point(x, y), UnimodularMatrix(a, b, c, d))
-    raise DegeneratePointError(f"reduction of {z} did not terminate")
+    n = math.floor(z.x + 0.5)
+    x, y, *m = _gauss_reduce([z.x], [z.y])
+    g = UnimodularMatrix(*(int(v[0]) for v in m)) @ UnimodularMatrix(1, -n, 0, 1)
+    return SurfacePoint(Point(float(x[0]), float(y[0])), g)
 
 
 def canonical_sign(a: int, b: int, c: int, d: int) -> tuple[int, int, int, int]:
@@ -197,31 +174,48 @@ def geodesic_polar(u: float, theta: float) -> Point:
 # Vectorised variants used by the quadrature and transport layers.
 
 
-def reduce_batch(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorised reduction to the fundamental domain.
+def _gauss_reduce(xs, ys):
+    """The one Gauss reduction of point arrays to the fundamental domain.
 
-    Returns new coordinate arrays; the reducing matrices are not tracked.
+    Alternates the translation normalising x into [-1/2, 1/2) with the
+    inversion z -> -1/z while |z| < 1.  The boundary tie-break then sends
+    x > 0 within ``_ARC_EPS`` of the unit circle to -x (applying S), so
+    representatives are unique.  Returns the reduced x and y and int64
+    arrays a, b, c, d: (a, b; c, d) maps x - floor(x + 1/2) + iy to the
+    reduced point.  The first translation is left out of the matrix, so a
+    huge x cannot overflow it; later ones are below 1/(2 MIN_HEIGHT).
+    Raises DegeneratePointError if some y < 1e-12 or the iteration fails
+    to settle (input numerically on the real axis).
     """
-    x = np.array(xs, dtype=float, copy=True)
-    y = np.array(ys, dtype=float, copy=True)
+    x = np.array(xs, dtype=float)
+    y = np.array(ys, dtype=float)
     if np.any(y < MIN_HEIGHT):
-        raise DegeneratePointError("batch contains points with y below 1e-12")
+        raise DegeneratePointError(f"points with y below {MIN_HEIGHT} are numerically degenerate")
+    x -= np.floor(x + 0.5)
+    g = np.multiply.outer([1, 0, 0, 1], np.ones(x.shape, dtype=np.int64))  # a, b, c, d
     for _ in range(_MAX_REDUCE_STEPS):
-        x -= np.floor(x + 0.5)
         r2 = x * x + y * y
         inside = r2 < 1.0 - _BOUNDARY_EPS
         if not np.any(inside):
             break
         x = np.where(inside, -x / r2, x)
         y = np.where(inside, y / r2, y)
+        g = np.where(inside, np.concatenate((-g[2:], g[:2])), g)  # S g
+        # a reduced x is in [-1/2, 1/2), where the translation is 0
+        n = np.where(inside, np.floor(x + 0.5), 0.0)
+        x -= n
+        g[:2] -= n.astype(np.int64) * g[2:]
     else:
-        raise DegeneratePointError("batch reduction did not terminate")
-    # boundary tie-break on the arc as in reduce, applied once the orbit
-    # representative is found; x < 1/2 already, as x - floor(x + 1/2) is exact
-    r2 = x * x + y * y
+        raise DegeneratePointError("reduction did not terminate")
+    # on the arc S acts as the reflection x -> -x, keeping y and |z|^2; x < 1/2
+    # already, as x - floor(x + 1/2) is exact, so -x lies in (-1/2, 0)
     arc = (r2 <= 1.0 + _ARC_EPS) & (x > 0.0)
-    x = np.where(arc, -x, x)
-    return x, y
+    return np.where(arc, -x, x), y, *np.where(arc, np.concatenate((-g[2:], g[:2])), g)
+
+
+def reduce_batch(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced coordinate arrays of the points xs + i ys (matrices not kept)."""
+    return _gauss_reduce(xs, ys)[:2]
 
 
 def mobius_image(a, b, c, d, xs, ys) -> tuple[np.ndarray, np.ndarray]:

@@ -29,6 +29,10 @@ _SUPPORT_LIMIT = 2000  # combined atom count for the exact solver
 _RC_TOL = 1e-11  # reduced-cost optimality tolerance
 
 
+class SupportLimitError(ValueError):
+    """The measures have more atoms combined than the exact solver takes."""
+
+
 class SinkhornWarning(RuntimeWarning):
     """Sinkhorn iterations stopped above the marginal tolerance."""
 
@@ -131,7 +135,8 @@ def w1_exact(m1: DiscreteMeasure, m2: DiscreteMeasure) -> tuple[float, Transport
     entering arc leaves (Cunningham), so the tree stays strongly feasible.
     """
     if len(m1) + len(m2) > _SUPPORT_LIMIT:
-        raise ValueError(f"exact solver is limited to {_SUPPORT_LIMIT} atoms combined")
+        raise SupportLimitError(f"exact solver is limited to {_SUPPORT_LIMIT} atoms combined, "
+                                f"got {len(m1)} + {len(m2)}")
     cost = cost_matrix(m1, m2).entries
     m, n = cost.shape
     parent, flow, order = _northwest_basis(m1.weights, m2.weights)

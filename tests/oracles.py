@@ -5,7 +5,8 @@ it checks: a second integral representation for the conical function, a
 brute-force group sweep for the quotient distance, direct quadrature for
 the inner sine integral, basis enumeration for small transport LPs, plain
 Dirichlet series for L-functions, every tile folded over the whole grid for
-the kernel mass, and the arclength parametrisation of a closed geodesic.
+the kernel mass, the arclength parametrisation of a closed geodesic, and
+the cube root of the x^2 - D y^2 = 1 solution for t^2 - D u^2 = 4.
 """
 
 from __future__ import annotations
@@ -151,3 +152,61 @@ def geodesic_path_points(geo: ClosedGeodesic, samples_per_unit_length: int) -> n
     s = (np.arange(n) + 0.5) * (geo.length / n)
     theta = 2.0 * np.arctan(np.exp(s))
     return center + radius * np.exp(1j * theta)
+
+
+def _pell_unit(n: int) -> tuple[int, int]:
+    """Fundamental solution of x^2 - n y^2 = 1 from the continued fraction of sqrt(n)."""
+    a0 = math.isqrt(n)
+    m, d, a = 0, 1, a0
+    h0, h1 = 1, a0
+    k0, k1 = 0, 1
+    while h1 * h1 - n * k1 * k1 != 1:
+        m = d * a - m
+        d = (n - m * m) // d
+        a = (a0 + m) // d
+        h0, h1 = h1, a * h1 + h0
+        k0, k1 = k1, a * k1 + k0
+    return h1, k1
+
+
+def _icbrt(n: int) -> int:
+    # integer Newton iteration; safe for n beyond float range
+    r = 1 << ((n.bit_length() + 2) // 3)
+    while True:
+        r2 = (2 * r + n // (r * r)) // 3
+        if r2 >= r:
+            break
+        r = r2
+    while r**3 > n:
+        r -= 1
+    while (r + 1) ** 3 <= n:
+        r += 1
+    return r
+
+
+def cube_root_pell(D: int) -> tuple[int, int]:
+    """Smallest positive solution (t, u) of t^2 - D u^2 = 4 through x^2 - D y^2 = 1.
+
+    For D = 0 mod 4 it is twice the classical solution for D/4.  For
+    D = 1 mod 4 the unit (t + u sqrt(D))/2 may be half-integral; its cube
+    is integral, so it is the cube root of the x^2 - D y^2 = 1 solution
+    when one of four candidates for t checks out, and that solution
+    doubled otherwise.
+    """
+    if D % 4 == 0:
+        x, y = _pell_unit(D // 4)
+        return 2 * x, y
+    x, y = _pell_unit(D)
+    # try eta with eta^3 = x + y sqrt(D): eta ~ cbrt(2x), t = eta + 1/eta
+    eta = _icbrt(2 * x)
+    t0 = eta if eta >= 3 else round(eta + 1.0 / max(eta, 1))
+    for t in (t0 - 1, t0, t0 + 1, t0 + 2):
+        if t <= 0:
+            continue
+        v = t * t - 4
+        if v % D == 0:
+            u2 = v // D
+            u = math.isqrt(u2)
+            if u > 0 and u * u == u2 and (t + u) % 2 == 0:
+                return t, u
+    return 2 * x, 2 * y

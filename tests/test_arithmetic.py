@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from modsurf import arithmetic
 from modsurf.arithmetic import (
     DiscreteMeasure,
     QuadraticForm,
@@ -28,7 +29,7 @@ from modsurf.hypgeo import Point, distance, mobius_apply
 from modsurf.specfun import dirichlet_l
 from modsurf.transport import load_plan
 
-from oracles import geodesic_path_points
+from oracles import cube_root_pell, geodesic_path_points
 
 
 class TestFundamental:
@@ -111,6 +112,19 @@ class TestPellAndGeodesics:
                 tt2 = D * uu * uu + 4
                 tt = math.isqrt(tt2)
                 assert tt * tt != tt2
+
+    def test_matches_cube_root_oracle(self):
+        for D in range(5, 5001):
+            if is_fundamental(D):
+                assert pell_fundamental(D) == cube_root_pell(D), D
+
+    def test_period_guard(self, monkeypatch):
+        # D = 604 = 4 * 151 takes 20 partial quotients
+        monkeypatch.setattr(arithmetic, "_PELL_MAX_PERIOD", 20)
+        assert pell_fundamental(604) == (3456296080, 140634693)
+        monkeypatch.setattr(arithmetic, "_PELL_MAX_PERIOD", 19)
+        with pytest.raises(RuntimeError):
+            pell_fundamental(604)
 
     def test_lengths(self):
         g5 = closed_geodesics(5)[0]

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from modsurf import cli
+from modsurf.arithmetic import haar_discretization, save_measure
 from modsurf.cli import load_config, main
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -187,6 +188,9 @@ class TestMeasureCommands:
         out = tmp_path / "h.csv"
         assert run(["heegner", "--out", str(out)], tmp_path, monkeypatch) == 0
         assert out.read_bytes() == (DATA / "heegner_default.csv").read_bytes()
+        # the measure files carry the reduced coordinates of every atom
+        for name in (f"heegner_{D}.txt" for D in (7, 8, 11, 15, 20, 23, 24)):
+            assert (tmp_path / name).read_bytes() == (DATA / name).read_bytes(), name
 
     def test_geodesics_and_wasserstein_golden_csv(self, tmp_path, monkeypatch):
         cfgp = tmp_path / "c.ini"
@@ -195,6 +199,8 @@ class TestMeasureCommands:
         assert run(["geodesics", "--config", str(cfgp), "--out", str(out)],
                    tmp_path, monkeypatch) == 0
         assert out.read_bytes() == (DATA / "geodesics_5_13.csv").read_bytes()
+        for name in ("geodesic_5.txt", "geodesic_13.txt"):
+            assert (tmp_path / name).read_bytes() == (DATA / name).read_bytes(), name
         cfg2 = tmp_path / "c2.ini"
         cfg2.write_text("[experiment]\ndiscriminants = -23\n")
         assert run(["heegner", "--config", str(cfg2)], tmp_path, monkeypatch) == 0
@@ -368,6 +374,30 @@ class TestArgumentErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: ")
+
+    @pytest.mark.parametrize("argv, ini", [
+        (["duke"], "[experiment]\nbandwidth =\n"),
+        (["weyl-compare"], "[experiment]\nt_values =\n"),
+        (["duke"], "[haar]\nn_x = 0\n"),
+        (["duke"], "[haar]\nn_levels = -1\n"),
+        (["duke"], "[haar]\ny_max = nan\n"),
+        (["duke"], "[experiment]\nbandwidth = inf\n"),
+        (["mollify-check"], "[experiment]\nseed = -1\n"),
+        (["mollify-check", "--seed", "-1"], ""),
+        (["mollify-check"], "[experiment]\neps_list = 0.2 0\n"),
+        # 2 x 2401 atoms and 4813 + 1201 atoms, past the exact solver's 2000
+        (["wasserstein", "haar.txt", "haar.txt"], ""),
+        (["duke"], "[experiment]\ndiscriminants = 5 -7\n"
+                   "[geodesic]\nsamples_per_unit_length = 5000\n"),
+    ], ids=["empty-bandwidth", "empty-t-values", "n-x-zero", "n-levels-negative", "y-max-nan",
+            "bandwidth-inf", "seed-negative", "seed-flag-negative", "eps-zero",
+            "wasserstein-support", "duke-support"])
+    def test_bad_input_exit_two(self, argv, ini, tmp_path, monkeypatch, capsys):
+        save_measure(haar_discretization(60, 40, 20.0), str(tmp_path / "haar.txt"))
+        (tmp_path / "c.ini").write_text(ini)
+        assert run(argv + ["--config", "c.ini"], tmp_path, monkeypatch) == 2
+        err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("config error: ")
 
     def test_unwritable_out_exit_two(self, tmp_path, monkeypatch, capsys):

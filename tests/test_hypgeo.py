@@ -133,8 +133,27 @@ class TestReduce:
             assert math.hypot(p.x - q.x, p.y - q.y) <= 1e-12
 
     def test_degenerate_rejected(self):
-        with pytest.raises((DegeneratePointError, ValueError)):
+        with pytest.raises(DegeneratePointError):
             reduce(Point(0.3, 1e-13))
+
+    def test_height_envelope(self):
+        # MIN_HEIGHT = 1e-12 is the edge: on it a point reduces, below it raises
+        for x in (0.3, -0.41, 1e-12, 0.0):
+            r = reduce(Point(x, 1e-12))
+            assert -0.5 <= r.point.x < 0.5 and r.point.y >= math.sqrt(3.0) / 2.0
+            # the forward map cancels in c x + d here; the inverse is well conditioned
+            v = mobius_apply(r.reducing_matrix.inverse(), r.point)
+            assert abs(v.x - x) < 1e-15 and abs(v.y / 1e-12 - 1.0) < 1e-6
+        with pytest.raises(DegeneratePointError):
+            reduce(Point(0.3, 9.9e-13))
+        with pytest.raises(DegeneratePointError):
+            hg.reduce_batch(np.array([0.0, 0.3]), np.array([1.0, 9.9e-13]))
+
+    def test_huge_x_matrix_exact(self):
+        # the first translation is exact beyond the int64 range
+        r = reduce(Point(1e19, 1.0))
+        assert r.point == Point(0.0, 1.0)
+        assert r.reducing_matrix == UnimodularMatrix(1, -10**19, 0, 1)
 
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(6)
@@ -252,8 +271,11 @@ class TestReduceProperties:
         moved = [mobius_apply(g, Point(x, y)) for x, y in pts]
         bx, by = hg.reduce_batch(np.array([p.x for p in moved]), np.array([p.y for p in moved]))
         for p, x, y in zip(moved, bx, by):
-            r = reduce(p).point
-            assert abs(r.x - x) <= 1e-12 and abs(r.y - y) <= 1e-12
+            sp = reduce(p)
+            r = sp.point
+            assert (r.x, r.y) == (x, y)
+            w = mobius_apply(sp.reducing_matrix, p)
+            assert abs(w.x - r.x) <= 1e-12 and abs(w.y - r.y) <= 1e-12
             for px, py in ((r.x, r.y), (x, y)):
                 assert -0.5 <= px < 0.5
                 assert px * px + py * py >= 1.0 - 1e-14
