@@ -5,7 +5,7 @@ All subcommands take --config, --out and --json; mollify-check also takes
 --plan-out.  ``modsurf <command> --help`` lists a command's CSV columns.
 
 Exit codes: 0 all checks pass, 1 check failure, 2 configuration error,
-bad arguments, or measures too large for the exact solver (one line on
+bad arguments, or measures too large for the transport solvers (one line on
 stderr).
 
 The configuration file is flat INI (sections [experiment], [haar],
@@ -49,8 +49,8 @@ from .eisenstein import (
 from .hypgeo import Point, sinh_half_rho
 from .specfun import dirichlet_l
 from .transform import TransformParams
-from .transport import (SupportLimitError, best_dual_lower_bound, clipped_distance, save_plan,
-                        w1_exact)
+from .transport import (SupportLimitError, _check_support, best_dual_lower_bound,
+                        clipped_distance, save_plan, w1_exact)
 
 
 class ConfigError(ValueError):
@@ -328,6 +328,8 @@ def cmd_duke(cfg: ExperimentConfig, args):
     ds = sorted(cfg.discriminants, key=abs)
     measures = [heegner_measure(D) if D < 0
                 else geodesic_measure(D, cfg.samples_per_unit_length) for D in ds]
+    for m in measures:  # fail before the spectral bound, not after it
+        _check_support(m, grid)
     with warnings.catch_warnings():
         # the partial-bound note prints once above
         warnings.simplefilter("ignore", PartialBoundWarning)

@@ -1,9 +1,10 @@
 """Tooling checks: the traced benchmark run finds every function it wraps,
-and src imports only at module level."""
+src imports only at module level, and every private constant is read."""
 
 import ast
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
@@ -45,3 +46,18 @@ def test_no_imports_inside_functions():
                 nested += [f"{path.name}:{node.lineno} in {fn.name}" for node in ast.walk(fn)
                            if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert not nested, nested
+
+
+def test_private_constants_are_read():
+    # a private module constant that its own module never reads is a
+    # leftover of code that has gone
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        defined = {target.id for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))
+                   for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+                   if isinstance(target, ast.Name) and re.fullmatch(r"_[A-Z][A-Z0-9_]*", target.id)}
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        unread += [f"{path.name}: {name}" for name in sorted(defined - read)]
+    assert not unread, unread

@@ -2,6 +2,7 @@
 
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -9,12 +10,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modsurf import hypgeo as hg
+from modsurf import transport
 from modsurf.arithmetic import DiscreteMeasure, heegner_measure
 from modsurf.hypgeo import Point
 from modsurf.transport import (
     DEFAULT_DUAL_FAMILY,
     LipschitzFunction,
+    SinkhornWarning,
+    SupportLimitError,
     _northwest_basis,
+    _sinkhorn_plan_cost,
     best_dual_lower_bound,
     clipped_distance,
     cost_matrix,
@@ -25,7 +30,7 @@ from modsurf.transport import (
     w1_sinkhorn,
 )
 
-from oracles import transport_by_enumeration
+from oracles import log_sinkhorn, transport_by_enumeration
 
 
 def measure(atoms):
@@ -42,6 +47,15 @@ def random_measure(rng, k):
     w = rng.uniform(0.2, 1.0, k)
     w /= w.sum()
     return DiscreteMeasure(xs, ys, w)
+
+
+def haar_sample(rng, n):
+    """n equal-weight atoms from the probability Haar measure, by rejection in
+    (x, v) with v = 1/y, where dmu = dx dv on the fundamental domain."""
+    xs = rng.uniform(-0.5, 0.5, 4 * n)
+    vs = rng.uniform(0.0, 2.0 / math.sqrt(3.0), 4 * n)
+    keep = (vs > 0.0) & (vs <= 1.0 / np.sqrt(1.0 - xs * xs))
+    return DiscreteMeasure(xs[keep][:n], 1.0 / vs[keep][:n], np.full(n, 1.0 / n))
 
 
 DELTA_I = measure([(0.0, 1.0, 1.0)])
@@ -300,6 +314,67 @@ class TestSinkhorn:
     def test_rejects_bad_reg(self):
         with pytest.raises(ValueError):
             w1_sinkhorn(DELTA_I, DELTA_2I, 0.0)
+
+
+def criterion_5_pair():
+    """The 200 x 200 pair of test_acceptance.py::test_criterion_5_transport."""
+    rng = np.random.default_rng(101)
+    for _ in range(20):
+        for shape in ((2, 2), (2, 3)):
+            random_measure(rng, shape[0])
+            random_measure(rng, shape[1])
+    return random_measure(rng, 200), random_measure(rng, 200)
+
+
+def haar_pair(seed):
+    rng = np.random.default_rng(seed)
+    return haar_sample(rng, 200), haar_sample(rng, 200)
+
+
+class TestSinkhornNewton:
+    """The entropic plan against plain log-domain Sinkhorn, and the final
+    Newton level's convergence on 200-atom instances."""
+
+    def test_matches_log_domain_oracle(self):
+        rng = np.random.default_rng(37)
+        mA = random_measure(rng, 30)
+        mB = random_measure(rng, 30)
+        cost = cost_matrix(mA, mB).entries
+        value = _sinkhorn_plan_cost(mA.weights, mB.weights, cost, 0.05)
+        assert abs(value - log_sinkhorn(mA.weights, mB.weights, cost, 0.05)) <= 1e-11
+
+    @pytest.mark.parametrize("pair", [criterion_5_pair, lambda: haar_pair(7)],
+                             ids=["criterion-5", "haar"])
+    def test_no_warning_at_200_atoms(self, pair):
+        mA, mB = pair()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w1_sinkhorn(mA, mB, 1e-3)
+
+    def test_reg_1e4_envelope(self):
+        mA, mB = haar_pair(9)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = w1_sinkhorn(mA, mB, 1e-4)
+        exact, _ = w1_exact(mA, mB)
+        assert abs(value - exact) <= 1e-3
+
+    @pytest.mark.parametrize("solver", [w1_exact, lambda m1, m2: w1_sinkhorn(m1, m2, 1e-3)],
+                             ids=["exact", "sinkhorn"])
+    def test_support_guard_before_cost(self, solver, monkeypatch):
+        def no_cost(m1, m2):
+            raise AssertionError("cost_matrix called before the support guard")
+
+        monkeypatch.setattr(transport, "cost_matrix", no_cost)
+        m = DiscreteMeasure(np.zeros(2000), np.linspace(1.0, 3.0, 2000), np.full(2000, 1 / 2000))
+        with pytest.raises(SupportLimitError):
+            solver(m, DELTA_I)
+
+    def test_self_terms_report_non_convergence(self, monkeypatch):
+        monkeypatch.setattr(transport, "_SELF_ITERS", 1)
+        rng = np.random.default_rng(38)
+        with pytest.warns(SinkhornWarning):
+            w1_sinkhorn(random_measure(rng, 30), random_measure(rng, 30), 1e-2)
 
 
 class TestDualBounds:
