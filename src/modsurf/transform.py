@@ -43,6 +43,7 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _CUTOFF_REL = 1e-14
 
 _TABLE_POINTS = 6000
+_TABLE_BLOCK = 256  # table rows per k_of_rho call, bounding its (rows x nodes) temporaries
 
 # Gauss-Legendre (panels, nodes per panel) of the fixed quadratures: the
 # inner integral of k_of_rho, the rho-integrals of the transform identities
@@ -151,7 +152,8 @@ class _KernelTable:
         self.T = T
         rho_max = 12.0 / T + 3.0
         self.rho = np.linspace(0.0, rho_max, _TABLE_POINTS)
-        self.k = k_of_rho(self.rho, T)
+        self.k = np.concatenate([k_of_rho(self.rho[i:i + _TABLE_BLOCK], T)
+                                 for i in range(0, _TABLE_POINTS, _TABLE_BLOCK)])
         self.k0 = float(self.k[0])
         self.u_cutoff = float(math.sinh(0.5 * self.rho_at_level(_CUTOFF_REL)) ** 2)
 

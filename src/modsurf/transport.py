@@ -1,13 +1,13 @@
 """1-Wasserstein distances between discrete measures on the modular surface.
 
 The exact distance solves the transportation LP by a primal network simplex
-on strongly feasible spanning trees, which cannot cycle; a pivot re-hangs
-and re-prices only the subtree cut off by the leaving arc, and the final
-potentials are returned as a dual certificate.  The entropic
-approximation runs stabilised Sinkhorn scaling down an epsilon ladder, then
-Newton ascent on the dual at the final level, and is debiased by the
-self-transport terms.  Kantorovich-Rubinstein dual lower bounds come from
-an explicit family of clipped-distance Lipschitz functions.
+on strongly feasible spanning trees, which cannot cycle, priced by block
+search; a pivot re-hangs and re-prices only the subtree cut off by the
+leaving arc, and the final potentials are returned as a dual certificate.
+The entropic approximation runs stabilised Sinkhorn scaling down an epsilon
+ladder, then Newton ascent on the dual at the final level, and is debiased
+by the self-transport terms.  Kantorovich-Rubinstein dual lower bounds come
+from an explicit family of clipped-distance Lipschitz functions.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import logsumexp
 
 from . import hypgeo
 from .arithmetic import DiscreteMeasure, read_table
@@ -27,6 +26,7 @@ from .hypgeo import Point, surface_distance_matrix, surface_distance_to_point
 _COST_SIZE_LIMIT = 4 * 10**8  # entries
 _SUPPORT_LIMIT = 2000  # combined atom count for w1_exact and w1_sinkhorn
 _RC_TOL = 1e-11  # reduced-cost optimality tolerance
+_PRICING_BLOCK = 4.0  # most cells in a pricing block, in units of sqrt(m n)
 
 
 class SupportLimitError(ValueError):
@@ -130,6 +130,72 @@ def _northwest_basis(a: np.ndarray, b: np.ndarray):
             node, parent[m + j] = m + j, i
 
 
+def _pivot(tree, cost: np.ndarray, ei: int, ej: int) -> None:
+    """Enter cell (ei, ej) into w1_exact's tree (parent, flow, order, pos, pot, depth, size).
+
+    The last blocking arc met going round the cycle from its apex along the
+    entering arc leaves (Cunningham), so the tree stays strongly feasible.
+    """
+    parent, flow, order, pos, pot, depth, size = tree
+    m = cost.shape[0]
+    rc = cost[ei, ej] - pot[ei] - pot[m + ej]
+    # tree paths from the entering arc's row and column up to their apex
+    up_r, up_c, r, c = [], [], ei, m + ej
+    for _ in range(depth[r] - depth[c]):
+        up_r.append(r)
+        r = parent[r]
+    for _ in range(depth[c] - depth[r]):
+        up_c.append(c)
+        c = parent[c]
+    while r != c:
+        up_r.append(r)
+        up_c.append(c)
+        r, c = parent[r], parent[c]
+    # the cycle from the apex along the entering arc goes down to its row
+    # and up from its column; rows lose flow going down, columns going up
+    down = len(up_r)
+    cycle = np.array(up_r[::-1] + up_c, dtype=int)
+    gain = np.where(cycle < m, 1.0, -1.0)
+    gain[:down] *= -1.0
+    losing = np.where(gain < 0, flow[cycle], np.inf)
+    last = len(cycle) - 1 - int(losing[::-1].argmin())
+    delta = losing[last]
+    flow[cycle] += delta * gain
+    # the leaving arc cuts off the subtree holding ``sub``, an end of the entering
+    # arc; ``path`` climbs from ``sub`` to the arc's child, and up to the apex
+    # ``shrink`` loses the subtree, ``grow`` gains it
+    if last >= down:
+        path, shrink, grow = cycle[down:last + 1], cycle[last + 1:], cycle[:down]
+        sub, att = m + ej, ei
+    else:
+        path, shrink, grow = cycle[last:down][::-1], cycle[:last], cycle[down:]
+        sub, att = ei, m + ej
+    # re-rooted at ``sub``, the cut subtree's preorder lists, for t = 0, 1, ...,
+    # the part of x_t = path[t]'s old subtree outside x_{t-1}'s, each in old
+    # order; x_t moves from depth depth[sub] - t to depth[att] + 1 + t, and
+    # the potentials shift so that the entering arc prices to zero
+    head, below = pos[path], size[path]
+    s, cut = int(head[-1]), int(below[-1])
+    part = len(path) - np.cumsum(np.bincount(head - s, minlength=cut)
+                                 - np.bincount(head + below - s, minlength=cut + 1)[:cut])
+    old = order[s:s + cut]
+    depth[old] += depth[att] + 1 - depth[sub] + 2 * part
+    pot[old] += np.where((old < m) == (sub < m), rc, -rc)
+    size[shrink] -= cut
+    size[grow] += cut
+    size[path[1:]] = cut - below[:-1]
+    size[sub] = cut
+    flow[path[1:]] = flow[path[:-1]]
+    flow[sub] = delta
+    for x, p in zip(path.tolist(), [att] + path[:-1].tolist()):
+        parent[x] = p
+    # move the subtree to just after ``att`` in the preorder
+    rest = np.concatenate((order[:s], order[s + cut:]))
+    at = int(pos[att]) + 1 - (cut if pos[att] > s else 0)
+    order[:] = np.concatenate((rest[:at], old[np.argsort(part, kind="stable")], rest[at:]))
+    pos[order] = np.arange(len(order))
+
+
 def w1_exact(m1: DiscreteMeasure, m2: DiscreteMeasure) -> tuple[float, TransportPlan]:
     """Exact 1-Wasserstein distance and an optimal plan (network simplex).
 
@@ -137,88 +203,39 @@ def w1_exact(m1: DiscreteMeasure, m2: DiscreteMeasure) -> tuple[float, Transport
     at row 0: node k's arc to its parent is cell (k, parent - m) for a row,
     (parent, k - m) for a column, with flow ``flow[k]``; ``pot`` (u then v)
     prices tree arcs to zero; k's subtree is ``order[pos[k]:pos[k] + size[k]]``
-    in the preorder ``order``.  The most negative reduced cost enters; the
-    last blocking arc met going round the cycle from its apex along the
-    entering arc leaves (Cunningham), so the tree stays strongly feasible.
+    in the preorder ``order``.  Block-search pricing (Kelly & O'Neill 1991, as
+    in LEMON and Bonneel et al. 2011) scans blocks of whole rows, at most
+    _PRICING_BLOCK * sqrt(mn) cells or one row each, in cyclic order: the first
+    block with a reduced cost below -_RC_TOL sends its most negative cell to
+    :func:`_pivot`, and a full cycle of blocks with none proves optimality.
     """
     _check_support(m1, m2)
     cost = cost_matrix(m1, m2).entries
     m, n = cost.shape
     parent, flow, order = _northwest_basis(m1.weights, m2.weights)
-    side = np.r_[np.ones(m), -np.ones(n)]  # +1 rows, -1 columns
     pot, depth, size = np.zeros(m + n), np.zeros(m + n, dtype=int), np.ones(m + n, dtype=int)
-    pos = np.argsort(order)
     for k in order[1:]:
         p = parent[k]
         pot[k] = cost[(k, p - m) if k < m else (p, k - m)] - pot[p]
         depth[k] = depth[p] + 1
     for k in order[:0:-1]:
         size[parent[k]] += size[k]
+    tree = (parent, flow, order, np.argsort(order), pot, depth, size)
 
-    reduced = np.empty((m, n))
+    u, v = pot[:m, None], pot[None, m:]  # views, kept current by _pivot
+    rows = max(1, int(_PRICING_BLOCK * math.sqrt(m / n)))
+    blocks, start = -(-m // rows), 0
     for _ in range(400 * (m + n) + 20_000):  # pivot bound
-        np.subtract(cost, pot[:m, None], out=reduced)
-        reduced -= pot[None, m:]
-        cell = int(reduced.argmin())
-        rc = reduced.flat[cell]
-        if rc >= -_RC_TOL:
-            break
-        ei, ej = divmod(cell, n)
-        # tree paths from the entering arc's row and column up to their apex
-        up_r, up_c, r, c = [], [], ei, m + ej
-        for _ in range(depth[r] - depth[c]):
-            up_r.append(r)
-            r = parent[r]
-        for _ in range(depth[c] - depth[r]):
-            up_c.append(c)
-            c = parent[c]
-        while r != c:
-            up_r.append(r)
-            up_c.append(c)
-            r, c = parent[r], parent[c]
-        # the cycle from the apex along the entering arc goes down to its row
-        # and up from its column; rows lose flow going down, columns going up
-        down = len(up_r)
-        cycle = np.array(up_r[::-1] + up_c, dtype=int)
-        gain = side[cycle]
-        gain[:down] *= -1.0
-        losing = np.where(gain < 0, flow[cycle], np.inf)
-        last = len(cycle) - 1 - int(losing[::-1].argmin())
-        delta = losing[last]
-        flow[cycle] += delta * gain
-        # the leaving arc cuts off the subtree holding ``sub``, an end of the entering
-        # arc; ``path`` climbs from ``sub`` to the arc's child, and up to the apex
-        # ``shrink`` loses the subtree, ``grow`` gains it
-        if last >= down:
-            path, shrink, grow = cycle[down:last + 1], cycle[last + 1:], cycle[:down]
-            sub, att = m + ej, ei
+        for b in range(start, start + blocks):
+            r0 = b % blocks * rows
+            block = cost[r0:r0 + rows] - u[r0:r0 + rows] - v
+            cell = int(block.argmin())
+            if block.flat[cell] < -_RC_TOL:
+                break
         else:
-            path, shrink, grow = cycle[last:down][::-1], cycle[:last], cycle[down:]
-            sub, att = ei, m + ej
-        # re-rooted at ``sub``, the cut subtree's preorder lists, for t = 0, 1, ...,
-        # the part of x_t = path[t]'s old subtree outside x_{t-1}'s, each in old
-        # order; x_t moves from depth depth[sub] - t to depth[att] + 1 + t, and
-        # the potentials shift so that the entering arc prices to zero
-        head, below = pos[path], size[path]
-        s, cut = int(head[-1]), int(below[-1])
-        part = len(path) - np.cumsum(np.bincount(head - s, minlength=cut)
-                                     - np.bincount(head + below - s, minlength=cut + 1)[:cut])
-        old = order[s:s + cut]
-        depth[old] += depth[att] + 1 - depth[sub] + 2 * part
-        pot[old] += (rc if sub < m else -rc) * side[old]
-        size[shrink] -= cut
-        size[grow] += cut
-        size[path[1:]] = cut - below[:-1]
-        size[sub] = cut
-        flow[path[1:]] = flow[path[:-1]]
-        flow[sub] = delta
-        for x, p in zip(path.tolist(), [att] + path[:-1].tolist()):
-            parent[x] = p
-        # move the subtree to just after ``att`` in the preorder
-        rest = np.concatenate((order[:s], order[s + cut:]))
-        at = int(pos[att]) + 1 - (cut if pos[att] > s else 0)
-        order = np.concatenate((rest[:at], old[np.argsort(part, kind="stable")], rest[at:]))
-        pos[order] = np.arange(m + n)
+            break  # a full cycle of blocks priced nothing below -_RC_TOL
+        start = (b + 1) % blocks
+        _pivot(tree, cost, r0 + cell // n, cell % n)
     else:
         raise RuntimeError("transportation simplex exceeded its pivot bound")
 
@@ -381,7 +398,9 @@ def _sym_self_plan_cost(a, cost, reg):
     f = np.zeros(n)
     for eps in _eps_ladder(reg):
         for it in range(_SELF_ITERS):
-            lse = logsumexp((f[None, :] - cost) / eps + loga[None, :], axis=1)
+            z = (f[None, :] - cost) / eps + loga[None, :]
+            lse = z.max(axis=1)  # log-sum-exp over each row, shifted by its max
+            lse += np.log(np.exp(z - lse[:, None]).sum(axis=1))
             f_new = 0.5 * f + 0.5 * (-eps * lse)  # averaged fixed-point update
             delta = float(np.abs(f_new - f).max())
             f = f_new

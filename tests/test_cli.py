@@ -209,6 +209,15 @@ class TestMeasureCommands:
                    tmp_path, monkeypatch) == 0
         assert out.read_bytes() == (DATA / "wasserstein_geodesic5_heegner23.csv").read_bytes()
 
+    def test_wasserstein_geodesic5_geodesic13_golden_csv(self, tmp_path, monkeypatch):
+        # 385 x 956 atoms, so the simplex prices many blocks of rows per cycle
+        for name in ("geodesic_5.txt", "geodesic_13.txt"):
+            (tmp_path / name).write_bytes((DATA / name).read_bytes())
+        out = tmp_path / "w.csv"
+        assert run(["wasserstein", "geodesic_5.txt", "geodesic_13.txt", "--out", str(out)],
+                   tmp_path, monkeypatch) == 0
+        assert out.read_bytes() == (DATA / "wasserstein_geodesic5_geodesic13.csv").read_bytes()
+
 
 class TestKernelMass:
     def test_default_golden_csv(self, tmp_path, monkeypatch):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from modsurf import hypgeo as hg
 from modsurf import transport
-from modsurf.arithmetic import DiscreteMeasure, heegner_measure
+from modsurf.arithmetic import DiscreteMeasure, heegner_measure, load_measure
 from modsurf.hypgeo import Point
 from modsurf.transport import (
     DEFAULT_DUAL_FAMILY,
@@ -31,6 +31,8 @@ from modsurf.transport import (
 )
 
 from oracles import log_sinkhorn, transport_by_enumeration
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 def measure(atoms):
@@ -205,6 +207,72 @@ def small_measure(draw):
     return DiscreteMeasure(rx, ry, counts / counts.sum())
 
 
+def permutation_pair(seed, n):
+    """n equal-weight atoms, the same atoms permuted, and the permutation."""
+    rng = np.random.default_rng(seed)
+    base = random_measure(rng, n)
+    perm = rng.permutation(n)
+    w = np.full(n, 1.0 / n)
+    return (DiscreteMeasure(base.xs, base.ys, w), DiscreteMeasure(base.xs[perm], base.ys[perm], w),
+            perm)
+
+
+def tie_pairs():
+    """60 pairs of 2 to 6 atoms drawn from POOL with repeats, with equal or small
+    integer weights, so that costs and flows tie."""
+    rng = np.random.default_rng(45)
+    pairs = []
+    for _ in range(60):
+        pair = []
+        for k in rng.integers(2, 7, 2):
+            xs, ys = np.array(POOL)[rng.integers(0, len(POOL), k)].T
+            w = np.ones(k) if rng.random() < 0.5 else rng.integers(1, 4, k).astype(float)
+            pair.append(DiscreteMeasure(xs, ys, w / w.sum()))
+        pairs.append(pair)
+    return pairs
+
+
+def assert_dual_certificate(mA, mB):
+    value, plan = w1_exact(mA, mB)
+    u, v = plan.duals
+    c = cost_matrix(mA, mB).entries
+    assert (u[:, None] + v[None, :] - c).max() <= 1e-11
+    assert abs(mA.weights @ u + mB.weights @ v - value) <= 1e-12
+
+
+def assert_strongly_feasible_tree(tree, cost, a, b):
+    """Check the basis tree of w1_exact (see _pivot) and return its count of zero-flow arcs."""
+    parent, flow, order, pos, pot, depth, size = tree
+    m, n = cost.shape
+    assert sorted(order.tolist()) == list(range(m + n)) and order[0] == 0 and parent[0] == -1
+    np.testing.assert_array_equal(pos[order], np.arange(m + n))
+    # a preorder of a spanning tree: each node hangs under the node before it
+    # or one of that node's ancestors (the pop raises IndexError otherwise)
+    chain = [0]
+    for k in order[1:]:
+        while chain[-1] != parent[k]:
+            chain.pop()
+        chain.append(k)
+        assert (k < m) != (parent[k] < m) and depth[k] == depth[parent[k]] + 1
+    assert depth[0] == 0
+    below = np.ones(m + n, dtype=int)
+    for k in order[:0:-1]:
+        below[parent[k]] += below[k]
+    np.testing.assert_array_equal(size, below)
+    # tree arcs price to zero
+    arcs = [(k, parent[k] - m) if k < m else (parent[k], k - m) for k in order[1:]]
+    rows, cols = np.array(arcs).T
+    assert np.abs(cost[rows, cols] - pot[rows] - pot[m + cols]).max() <= 1e-12
+    plan = tree_plan(parent, flow, m, n)
+    assert plan.min() >= 0.0
+    np.testing.assert_allclose(plan.sum(axis=1), a, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(plan.sum(axis=0), b, rtol=0, atol=1e-14)
+    # strongly feasible: every zero-flow arc is a row's, so it points toward the root
+    zeros = [k for k in order[1:] if flow[k] == 0.0]
+    assert all(k < m for k in zeros), [k for k in zeros if k >= m]
+    return len(zeros)
+
+
 class TestMetricProperties:
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(small_measure(), small_measure(), small_measure())
@@ -234,12 +302,8 @@ class TestNetworkSimplex:
     def test_permutation_of_equal_weights(self):
         # the northwest start alternates positive and zero flows here, so
         # nearly every pivot is degenerate
-        rng = np.random.default_rng(40)
         n = 60
-        base = random_measure(rng, n)
-        perm = rng.permutation(n)
-        mA = DiscreteMeasure(base.xs, base.ys, np.full(n, 1.0 / n))
-        mB = DiscreteMeasure(base.xs[perm], base.ys[perm], np.full(n, 1.0 / n))
+        mA, mB, perm = permutation_pair(40, n)
         value, plan = w1_exact(mA, mB)
         assert value <= 1e-12
         expected = np.zeros((n, n))
@@ -281,13 +345,31 @@ class TestNetworkSimplex:
     @pytest.mark.parametrize("shape, seed", [((12, 9), 42), ((40, 30), 43)])
     def test_dual_certificate(self, shape, seed):
         rng = np.random.default_rng(seed)
-        mA = random_measure(rng, shape[0])
-        mB = random_measure(rng, shape[1])
-        value, plan = w1_exact(mA, mB)
-        u, v = plan.duals
-        c = cost_matrix(mA, mB).entries
-        assert (u[:, None] + v[None, :] - c).max() <= 1e-11
-        assert abs(mA.weights @ u + mB.weights @ v - value) <= 1e-12
+        assert_dual_certificate(random_measure(rng, shape[0]), random_measure(rng, shape[1]))
+
+    @pytest.mark.parametrize("other", ["geodesic_13", "haar_300"])
+    def test_dual_certificate_many_blocks(self, other):
+        # 385 rows against 956 or 300 columns: pricing runs over 193 or 97 blocks
+        mA = load_measure(os.path.join(DATA, "geodesic_5.txt"))
+        mB = (load_measure(os.path.join(DATA, "geodesic_13.txt")) if other == "geodesic_13"
+              else haar_sample(np.random.default_rng(44), 300))
+        assert_dual_certificate(mA, mB)
+
+    @pytest.mark.parametrize("instance", ["permutation", "ties"])
+    def test_every_pivot_keeps_a_strongly_feasible_tree(self, instance, monkeypatch):
+        pivot, seen = transport._pivot, {"pivots": 0, "zero_arcs": 0}
+
+        def checked_pivot(tree, cost, ei, ej):
+            pivot(tree, cost, ei, ej)
+            seen["pivots"] += 1
+            seen["zero_arcs"] += assert_strongly_feasible_tree(tree, cost, a, b)
+
+        monkeypatch.setattr(transport, "_pivot", checked_pivot)
+        for mA, mB in ([permutation_pair(40, 60)[:2]] if instance == "permutation" else tie_pairs()):
+            a, b = mA.weights, mB.weights
+            w1_exact(mA, mB)
+        # the instances do pivot, and leave zero-flow arcs in the tree
+        assert seen["pivots"] > 100 and seen["zero_arcs"] > 0
 
 
 class TestSinkhorn:
