@@ -14,7 +14,6 @@ from .arithmetic import (
     QuadraticForm,
     class_number,
     closed_geodesics,
-    cuspidal_mass,
     geodesic_measure,
     haar_discretization,
     heegner_measure,
@@ -24,7 +23,6 @@ from .arithmetic import (
     save_measure,
 )
 from .eisenstein import (
-    EisensteinParams,
     MaassData,
     PartialBoundWarning,
     berry_esseen_rhs,
@@ -40,10 +38,8 @@ from .hypgeo import (
     SurfacePoint,
     UnimodularMatrix,
     distance,
-    geodesic_polar,
     height,
     mobius_apply,
-    point_pair_u,
     reduce,
     surface_distance,
 )
@@ -56,11 +52,9 @@ from .specfun import (
     h_watson,
     hurwitz_zeta,
     kronecker_symbol,
-    log_gamma_complex,
     riemann_zeta,
 )
 from .transform import (
-    MollifierParams,
     TransformParams,
     arsinh_moment,
     automorphic_kernel,
@@ -74,7 +68,6 @@ from .transform import (
 )
 from .transport import (
     CostMatrix,
-    LipschitzFunction,
     TransportPlan,
     cost_matrix,
     dual_lower_bound,

@@ -375,13 +375,6 @@ def haar_discretization(n_x: int, n_levels: int, y_max: float) -> DiscreteMeasur
     return DiscreteMeasure(xs, ys, ws, label=f"haar n_x={n_x} n_levels={n_levels} Y={y_max}")
 
 
-def cuspidal_mass(m: DiscreteMeasure, Y: float) -> float:
-    """Total weight of atoms lying above height Y (in the cuspidal zone)."""
-    if Y < 1.0:
-        raise ValueError("Y must be at least 1")
-    return float(m.weights[m.ys > Y].sum())
-
-
 # ---------------------------------------------------------------------------
 # Plain-text tables (17 significant digits; exact decimal round-trip)
 

@@ -38,11 +38,13 @@ from .arithmetic import (
     heegner_measure,
     is_fundamental,
     load_measure,
+    require_fundamental,
     save_measure,
 )
 from .eisenstein import (
     MaassData,
     PartialBoundWarning,
+    _check_t,
     berry_esseen_rhs_many,
     weyl_compare,
 )
@@ -95,9 +97,13 @@ class ExperimentConfig:
             raise ConfigError("bandwidth and t_values must each list at least one value")
         if any(T < 1.0 for T in self.bandwidths):
             raise ConfigError("bandwidth T must be at least 1")
-        for D in self.discriminants:
-            if not is_fundamental(D):
-                raise ConfigError(f"{D} is not a fundamental discriminant")
+        try:
+            for D in self.discriminants:
+                require_fundamental(D)
+            for t in self.t_values:
+                _check_t(t)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         if self.y_max < 2.0:
             raise ConfigError("y_max must be at least 2")
         if min(self.samples_per_unit_length, self.n_x, self.n_levels, *self.eps_list) <= 0:

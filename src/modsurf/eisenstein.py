@@ -10,6 +10,8 @@ with xi(s) = pi^{-s/2} Gamma(s/2) zeta(s), scattering coefficient
 phi(t) = xi(1 - 2it)/xi(1 + 2it) (unimodular), and the real divisor sums
 lam_t(n) = sum_{ad=n} (a/d)^{it}.
 
+`_auto_n_fourier` picks the Fourier length per t: the shortest expansion
+whose omitted Bessel terms are negligible at the lowest point.
 `eisenstein_eval_many` takes an array of t as a batch axis: the t values
 that share a Fourier length go to `bessel_k_imag_many` in one call, which
 reuses one Bessel kernel per theta-grid.
@@ -19,9 +21,9 @@ squared Weyl sums for Heegner/geodesic measures come out of the class
 number formula with the gamma factors H_-/H_+, and the two routes are
 compared by `weyl_compare`.  `berry_esseen_rhs_many` assembles the
 spectral upper bound for the Wasserstein distance from several measures to
-one reference, whose Weyl sums at the t-nodes are computed once per call;
-the cuspidal contribution is supplied as external data, and a bound without
-it is flagged by `PartialBoundWarning`.
+one reference, whose Weyl sums at the t-nodes of `_T_QUAD` are computed
+once per call; the cuspidal contribution is supplied as external data, and
+a bound without it is flagged by `PartialBoundWarning`.
 """
 
 from __future__ import annotations
@@ -53,6 +55,9 @@ from .specfun import (
 )
 
 _T_MIN = 1e-6
+# Gauss-Legendre (panels, nodes per panel) of each half-line of the
+# Berry-Esseen t-integral
+_T_QUAD = (12, 16)
 
 
 class FourierTruncationWarning(RuntimeWarning):
@@ -61,27 +66,6 @@ class FourierTruncationWarning(RuntimeWarning):
 
 class PartialBoundWarning(UserWarning):
     """The Berry-Esseen bound was evaluated without its cuspidal part."""
-
-
-@dataclass(frozen=True)
-class EisensteinParams:
-    """Fourier truncation and t-quadrature controls.
-
-    ``n_fourier`` of None selects, per evaluation, the smallest n with
-    2 pi n y_min > 40, making omitted Bessel terms negligible.
-    ``t_quad`` is a (panels, nodes-per-panel) Gauss-Legendre descriptor for
-    each half-line of the spectral integral.
-    """
-
-    n_fourier: int | None = None
-    t_quad: tuple[int, int] = (12, 16)
-
-    def __post_init__(self):
-        if self.n_fourier is not None and self.n_fourier < 1:
-            raise ValueError("n_fourier must be at least 1")
-
-
-DEFAULT_PARAMS = EisensteinParams()
 
 
 def _check_t(t: float) -> float:
@@ -129,8 +113,7 @@ def _auto_n_fourier(y_min: float, t: float) -> int:
     return max(1, math.ceil(max(40.0, abs(t) + 15.0) / (2.0 * math.pi * y_min))) + 1
 
 
-def eisenstein_eval_many(xs: np.ndarray, ys: np.ndarray, t,
-                         p: EisensteinParams = DEFAULT_PARAMS) -> np.ndarray:
+def eisenstein_eval_many(xs: np.ndarray, ys: np.ndarray, t) -> np.ndarray:
     """E(z, 1/2 + it) at an array of points for a scalar or an array of t.
 
     The result has shape ``np.shape(t) + xs.shape``.  The t values that
@@ -145,8 +128,7 @@ def eisenstein_eval_many(xs: np.ndarray, ys: np.ndarray, t,
     y_min = float(ys.min())
     sqrt_y = np.sqrt(ys)
     logy = np.log(ys)
-    n_fs = np.array([p.n_fourier if p.n_fourier is not None else _auto_n_fourier(y_min, v)
-                     for v in flat_ts])
+    n_fs = np.array([_auto_n_fourier(y_min, v) for v in flat_ts])
     out = np.empty((len(flat_ts),) + xs.shape, dtype=complex)
     worst_omitted = 0.0
     for n_f in np.unique(n_fs).tolist():
@@ -183,20 +165,19 @@ def eisenstein_eval_many(xs: np.ndarray, ys: np.ndarray, t,
     return out.reshape(ts.shape + xs.shape)
 
 
-def eisenstein_eval(z, t: float, p: EisensteinParams = DEFAULT_PARAMS) -> complex:
+def eisenstein_eval(z, t: float) -> complex:
     """E(z, 1/2 + it) at a single point (no reduction is applied)."""
-    return complex(eisenstein_eval_many(np.array([z.x]), np.array([z.y]), t, p)[0])
+    return complex(eisenstein_eval_many(np.array([z.x]), np.array([z.y]), t)[0])
 
 
-def _weyl_sums(m: DiscreteMeasure, ts: np.ndarray, p: EisensteinParams) -> np.ndarray:
+def _weyl_sums(m: DiscreteMeasure, ts: np.ndarray) -> np.ndarray:
     """Integrals of E(., 1/2 + it) against a discrete measure, one per t in ts."""
-    return (m.weights * eisenstein_eval_many(m.xs, m.ys, ts, p)).sum(axis=1)
+    return (m.weights * eisenstein_eval_many(m.xs, m.ys, ts)).sum(axis=1)
 
 
-def weyl_sum_empirical(m: DiscreteMeasure, t: float,
-                       p: EisensteinParams = DEFAULT_PARAMS) -> complex:
+def weyl_sum_empirical(m: DiscreteMeasure, t: float) -> complex:
     """Integral of E(., 1/2 + it) against a discrete measure."""
-    return complex(_weyl_sums(m, np.array([t]), p)[0])
+    return complex(_weyl_sums(m, np.array([t]))[0])
 
 
 def weyl_sum_exact_sq(D: int, t: float) -> float:
@@ -222,8 +203,7 @@ class WeylComparison:
     ratio: float
 
 
-def weyl_compare(D: int, t: float, p: EisensteinParams = DEFAULT_PARAMS,
-                 samples_per_unit_length: int = 200) -> WeylComparison:
+def weyl_compare(D: int, t: float, samples_per_unit_length: int = 200) -> WeylComparison:
     """Empirical versus exact squared Weyl sum for the measure of discriminant D.
 
     For D < 0 the measure is the Heegner-point measure; for D > 0 the
@@ -231,7 +211,7 @@ def weyl_compare(D: int, t: float, p: EisensteinParams = DEFAULT_PARAMS,
     is ratio = 1.
     """
     m = heegner_measure(D) if D < 0 else geodesic_measure(D, samples_per_unit_length)
-    emp = abs(weyl_sum_empirical(m, t, p)) ** 2
+    emp = abs(weyl_sum_empirical(m, t)) ** 2
     exact = weyl_sum_exact_sq(D, t)
     return WeylComparison(empirical_sq=emp, exact_sq=exact, ratio=emp / exact)
 
@@ -283,7 +263,6 @@ def berry_esseen_rhs_many(
     reference: DiscreteMeasure,
     T: float,
     data: MaassData | None = None,
-    p: EisensteinParams = DEFAULT_PARAMS,
 ) -> list[BerryEsseenBound]:
     """Spectral upper bound 1/T + sqrt(mu) sqrt(cuspidal + eisenstein) per measure.
 
@@ -300,8 +279,8 @@ def berry_esseen_rhs_many(
         raise ValueError("T must be at least 1")
 
     t_max = max(3.0 * T, 15.0)
-    nodes, wts = gl_panels(0.0, t_max, *p.t_quad)
-    ref_sums = _weyl_sums(reference, nodes, p)
+    nodes, wts = gl_panels(0.0, t_max, *_T_QUAD)
+    ref_sums = _weyl_sums(reference, nodes)
     weight = np.exp(-(nodes**2) / (T * T)) / (0.25 + nodes**2)
 
     if data is None or len(data.t_f) == 0:
@@ -321,7 +300,7 @@ def berry_esseen_rhs_many(
     bounds = []
     for m in measures:
         # Python's scalar abs and ** round differently from np.abs and np.square
-        sq = np.array([abs(d) ** 2 for d in (_weyl_sums(m, nodes, p) - ref_sums).tolist()])
+        sq = np.array([abs(d) ** 2 for d in (_weyl_sums(m, nodes) - ref_sums).tolist()])
         # even integrand: both half-lines
         eis = float(2.0 * (wts * weight * sq).sum() / (4.0 * math.pi))
 
@@ -348,7 +327,6 @@ def berry_esseen_rhs(
     m2: DiscreteMeasure,
     T: float,
     data: MaassData | None = None,
-    p: EisensteinParams = DEFAULT_PARAMS,
 ) -> BerryEsseenBound:
     """The bound of ``berry_esseen_rhs_many`` for the single pair (m1, m2)."""
-    return berry_esseen_rhs_many([m1], m2, T, data, p)[0]
+    return berry_esseen_rhs_many([m1], m2, T, data)[0]

@@ -118,11 +118,6 @@ def distance(z: Point, w: Point) -> float:
     return 2.0 * math.asinh(0.5 * math.hypot(dx, dy) / math.sqrt(z.y * w.y))
 
 
-def point_pair_u(z: Point, w: Point) -> float:
-    """Point-pair invariant u(z, w) = |z - w|^2 / (4 Im z Im w) = sinh^2(rho/2)."""
-    return pair_u(z.x, z.y, w.x, w.y)
-
-
 def reduce(z: Point) -> SurfacePoint:
     """Reduce a point to the standard fundamental domain by ``_gauss_reduce``.
 
@@ -160,14 +155,6 @@ def surface_distance(z: Point, w: Point) -> float:
 def height(z: Point) -> float:
     """Cusp height Ht(z) = max over gamma of Im(gamma z); equals Im of reduce(z)."""
     return reduce(z).point.y
-
-
-def geodesic_polar(u: float, theta: float) -> Point:
-    """Point at invariant u from i in direction theta (geodesic polar coordinates)."""
-    if u < 0.0:
-        raise ValueError("u must be nonnegative")
-    x, y = polar_image(u, theta)
-    return Point(float(x), float(y))
 
 
 # ---------------------------------------------------------------------------

@@ -302,6 +302,10 @@ def automorphic_kernel(z: Point, w: Point, params: "TransformParams") -> float:
 # Relative widening of u_lim for the nodes kernel_mass_on_surface selects, far
 # above the rounding of either route, so no node with u <= u_lim is missed.
 _SELECT_MARGIN = 1e-9
+# kernel_mass_on_surface's grid top, and the level of k, relative to k(0),
+# below which a tile is dropped
+_Y_CUT = 50.0
+_TILE_LEVEL = 1e-8
 
 
 def kernel_mass_on_surface(
@@ -309,15 +313,13 @@ def kernel_mass_on_surface(
     params: "TransformParams",
     n_x: int = 170,
     n_levels: int = 170,
-    y_cut: float = 50.0,
-    tile_level: float = 1e-8,
 ) -> tuple[float, float]:
     """Quadrature of int over the surface of K(z, w) dmu(w); equals 1.
 
     Midpoint quadrature on the exact-in-measure fundamental-domain grid
-    below ``y_cut``; the group sum is folded tile by tile, dropping tiles
-    where k is below ``tile_level`` relative to k(0).  Returns the mass
-    and an error bound combining the cusp tail above ``y_cut`` with the
+    below ``_Y_CUT``; the group sum is folded tile by tile, dropping tiles
+    where k is below ``_TILE_LEVEL`` relative to k(0).  Returns the mass
+    and an error bound combining the cusp tail above ``_Y_CUT`` with the
     dropped k-tail beyond the tile radius.
 
     As u(z, gamma w) = u(gamma^-1 z, w), a tile's nodes with u <= u_lim lie
@@ -333,16 +335,16 @@ def kernel_mass_on_surface(
     """
     tab = _kernel_table(params.T)
     zr = reduce(z).point
-    xs, ys, wmu = fundamental_domain_grid(n_x, n_levels, y_cut)
+    xs, ys, wmu = fundamental_domain_grid(n_x, n_levels, _Y_CUT)
 
-    rho_tile = tab.rho_at_level(tile_level)
-    y_high = max(y_cut * 1.05, zr.y * math.exp(rho_tile) * 1.05)
+    rho_tile = tab.rho_at_level(_TILE_LEVEL)
+    y_high = max(_Y_CUT * 1.05, zr.y * math.exp(rho_tile) * 1.05)
     mats = ball_tiles(zr, rho_tile, y_high).astype(float)
     u_lim = math.sinh(0.5 * rho_tile) ** 2
 
-    # fundamental_domain_grid puts level l of a column at v = 1/y_cut + (l + 1/2) v_step
+    # fundamental_domain_grid puts level l of a column at v = 1/_Y_CUT + (l + 1/2) v_step
     x_col = xs[:n_x]
-    v_step = (1.0 / np.sqrt(1.0 - x_col * x_col) - 1.0 / y_cut) / n_levels
+    v_step = (1.0 / np.sqrt(1.0 - x_col * x_col) - 1.0 / _Y_CUT) / n_levels
     # the widened preimage disks: centre (px, cy), radius r
     a, b, c, d = mats.T
     px, py = mobius_image(d, -b, -c, a, zr.x, zr.y)
@@ -361,8 +363,8 @@ def kernel_mass_on_surface(
         # the disk's chord in column x runs from y = q / y_top up to y_top
         y_top = cy[t] + np.sqrt(np.maximum(r[t] * r[t] - dx * dx, 0.0))
         q = dx * dx + py[t] * py[t]
-        lo = np.ceil((1.0 / y_top - 1.0 / y_cut) / v_step[cols] - 0.5).min()
-        hi = np.floor((y_top / q - 1.0 / y_cut) / v_step[cols] - 0.5).max()
+        lo = np.ceil((1.0 / y_top - 1.0 / _Y_CUT) / v_step[cols] - 0.5).min()
+        hi = np.floor((y_top / q - 1.0 / _Y_CUT) / v_step[cols] - 0.5).max()
         # the box of levels lo..hi over these columns holds every candidate;
         # read row by row, it is in ascending node order as in the full grid
         box = (slice(max(int(lo), 0), min(int(hi), n_levels - 1) + 1), cols)
@@ -372,13 +374,13 @@ def kernel_mass_on_surface(
         if np.any(sel):
             mass += float(w2[box][sel] @ tab.eval_u(u[sel]))
 
-    # cusp tail above y_cut: mu(F(y_cut)) = 1/y_cut times the kernel sup
+    # cusp tail above _Y_CUT: mu(F(_Y_CUT)) = 1/_Y_CUT times the kernel sup
     # there; K at the probes is the full group sum, added tile by tile as
     # the sum over axis 0 runs row by row
     top = np.linspace(-0.45, 0.45, 7)
-    gx, gy = mobius_image(*(mats[:, i:i + 1] for i in range(4)), top, y_cut)
+    gx, gy = mobius_image(*(mats[:, i:i + 1] for i in range(4)), top, _Y_CUT)
     k_top = tab.eval_u(pair_u(gx, gy, zr.x, zr.y)).sum(axis=0)
-    tail_cusp = float(k_top.max()) / y_cut
+    tail_cusp = float(k_top.max()) / _Y_CUT
     # dropped k-tail beyond the tile radius: 4 pi int_{u_lim}^inf k du
     rho, wk = _weighted_k(params.T, rho_tile, 12.0 / params.T + 3.0, _TAIL_NODES)
     tail_k = float(4.0 * math.pi * (wk * 0.5 * np.sinh(rho)).sum())
@@ -404,34 +406,23 @@ def _bump_unit_integral() -> float:
     return float((w * vals).sum())
 
 
-@dataclass(frozen=True)
-class MollifierParams:
-    """Mollification radius and the normalising constant C = 4 pi int_0^1 e^{1/(u^2-1)} du."""
-
-    eps: float
-    C: float
-
-    @classmethod
-    def create(cls, eps: float) -> "MollifierParams":
-        if eps <= 0:
-            raise ValueError("mollification radius must be positive")
-        return cls(eps=eps, C=4.0 * math.pi * _bump_unit_integral())
-
-
-def mollifier_k_eps(u: float | np.ndarray, m: MollifierParams) -> float | np.ndarray:
+def mollifier_k_eps(u: float | np.ndarray, eps: float) -> float | np.ndarray:
     """Smooth bump kernel supported on u in [0, sinh^2(eps/2)), unit mass under 4 pi du.
 
     On the support, k_eps(u) = exp(S^2/(u^2 - S^2)) / (C S) with
-    S = sinh^2(eps/2); the scaling matches the normalising constant C so
-    that 4 pi int k_eps = 1 exactly.
+    S = sinh^2(eps/2) and C = 4 pi int_0^1 e^{1/(u^2-1)} du, so that
+    4 pi int k_eps = 1 exactly.  Raises ValueError unless eps > 0.
     """
-    S = math.sinh(0.5 * m.eps) ** 2
+    if eps <= 0:
+        raise ValueError("mollification radius must be positive")
+    C = 4.0 * math.pi * _bump_unit_integral()
+    S = math.sinh(0.5 * eps) ** 2
     u = np.asarray(u, dtype=float)
     out = np.zeros(u.shape if u.ndim else (1,))
     uu = np.atleast_1d(u)
     inside = uu < S
     with np.errstate(divide="ignore"):
-        out[inside] = np.exp(S * S / (uu[inside] ** 2 - S * S)) / (m.C * S)
+        out[inside] = np.exp(S * S / (uu[inside] ** 2 - S * S)) / (C * S)
     return out if u.ndim else float(out[0])
 
 
@@ -443,16 +434,15 @@ def smooth(F, eps: float, z: Point) -> float:
     must accept coordinate arrays (xs, ys).  For 1-Lipschitz automorphic F
     the result is within eps of F(z).
     """
-    m = MollifierParams.create(eps)
     S = math.sinh(0.5 * eps) ** 2
     q, wq = gl_panels(0.0, 1.0, 4, _SMOOTH_Q_NODES)
     theta = (np.arange(_SMOOTH_THETAS) + 0.5) * (2.0 * math.pi / _SMOOTH_THETAS)
     u = S * q * q
+    kvals = mollifier_k_eps(u, eps)
     px, py = polar_image(u[:, None], theta[None, :])
     # move the polar patch from i to z by the affine isometry w = x + y*(px + i py)
     wx = z.x + z.y * px
     wy = z.y * py
     vals = F(wx.ravel(), wy.ravel()).reshape(wx.shape)
-    kvals = mollifier_k_eps(u, m)
     radial = wq * kvals * 4.0 * S * q  # includes du = 2 S q dq and the polar factor 2
     return float((radial[:, None] * vals).sum() * (2.0 * math.pi / _SMOOTH_THETAS))

@@ -53,25 +53,14 @@ class TransportPlan:
     duals: tuple[np.ndarray, np.ndarray] | None = None
 
 
-@dataclass(frozen=True)
-class LipschitzFunction:
-    """A Lipschitz test function on the surface; evaluator takes (xs, ys) arrays."""
-
-    evaluator: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    lipschitz_constant: float
-
-    def __call__(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        return self.evaluator(np.asarray(xs, dtype=float), np.asarray(ys, dtype=float))
-
-
-def clipped_distance(z0: Point, radius: float) -> LipschitzFunction:
-    """The 1-Lipschitz function z -> min(surface_distance(z, z0), radius)."""
+def clipped_distance(z0: Point, radius: float) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """The 1-Lipschitz function z -> min(surface_distance(z, z0), radius) of arrays (xs, ys)."""
 
     def ev(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         rx, ry = hypgeo.reduce_batch(xs, ys)
         return np.minimum(surface_distance_to_point(rx, ry, z0), radius)
 
-    return LipschitzFunction(evaluator=ev, lipschitz_constant=1.0)
+    return ev
 
 
 # Fixed family used for dual lower bounds: clipped distances from a small
@@ -442,11 +431,14 @@ def w1_sinkhorn(m1: DiscreteMeasure, m2: DiscreteMeasure, reg: float) -> float:
 
 
 def dual_lower_bound(m1: DiscreteMeasure, m2: DiscreteMeasure,
-                     F: LipschitzFunction) -> float:
-    """|int F dm1 - int F dm2| / Lip(F); never exceeds the exact distance."""
+                     F: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> float:
+    """|int F dm1 - int F dm2| for a 1-Lipschitz F of arrays (xs, ys).
+
+    By Kantorovich-Rubinstein duality it never exceeds the exact distance.
+    """
     v1 = float((m1.weights * F(m1.xs, m1.ys)).sum())
     v2 = float((m2.weights * F(m2.xs, m2.ys)).sum())
-    return abs(v1 - v2) / F.lipschitz_constant
+    return abs(v1 - v2)
 
 
 def best_dual_lower_bound(m1: DiscreteMeasure, m2: DiscreteMeasure) -> float:

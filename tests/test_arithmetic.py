@@ -13,7 +13,6 @@ from modsurf.arithmetic import (
     QuadraticForm,
     class_number,
     closed_geodesics,
-    cuspidal_mass,
     geodesic_measure,
     haar_discretization,
     heegner_measure,
@@ -46,6 +45,13 @@ class TestFundamental:
 
     def test_minus_twelve(self):
         assert not is_fundamental(-12)
+
+    def test_envelope(self):
+        # |D| <= 1e6; past it the error comes before any trial division
+        assert not is_fundamental(-10**6)
+        for D in (-10**6 - 3, 10**6 + 1, -1000000000000000003):
+            with pytest.raises(ValueError, match="at most"):
+                is_fundamental(D)
 
     def test_sweep_consistency(self):
         # fundamental iff it is the discriminant of some primitive form system:
@@ -212,7 +218,7 @@ class TestHaar:
     def test_cusp_tail(self):
         n_levels = 40
         m = haar_discretization(48, n_levels, 50.0)
-        got = cuspidal_mass(m, 10.0)
+        got = float(m.weights[m.ys > 10.0].sum())
         expected = 3.0 / (10.0 * math.pi)
         # grid tolerance: at worst the full row of cells straddling the cut
         max_dv = (1.0 / math.sqrt(1.0 - 0.5**2) - 1.0 / 50.0) / n_levels
@@ -227,18 +233,6 @@ class TestHaar:
         mh_c = float((coarse.weights * coarse.ys).sum())
         mh_f = float((fine.weights * fine.ys).sum())
         assert abs(mh_c - mh_f) < 1e-3
-
-
-class TestCuspidalMass:
-    def test_compact_measures(self):
-        assert cuspidal_mass(heegner_measure(-4), 2.0) == 0.0
-        y_top = math.sqrt(23.0) / 2.0
-        assert cuspidal_mass(heegner_measure(-23), y_top + 0.01) == 0.0
-        assert cuspidal_mass(heegner_measure(-23), y_top - 0.01) > 0.0
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            cuspidal_mass(heegner_measure(-4), 0.5)
 
 
 class TestMeasureInvariants:

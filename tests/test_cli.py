@@ -399,9 +399,12 @@ class TestArgumentErrors:
         (["wasserstein", "haar.txt", "haar.txt"], ""),
         (["duke"], "[experiment]\ndiscriminants = 5 -7\n"
                    "[geodesic]\nsamples_per_unit_length = 5000\n"),
+        (["weyl-compare"], "[experiment]\ndiscriminants = -7\nt_values = 0.0 1.0\n"),
+        # trial division to sqrt|D| would not finish; the envelope check comes first
+        (["weyl-compare"], "[experiment]\ndiscriminants = -1000000000000000003\n"),
     ], ids=["empty-bandwidth", "empty-t-values", "n-x-zero", "n-levels-negative", "y-max-nan",
             "bandwidth-inf", "seed-negative", "seed-flag-negative", "eps-zero",
-            "wasserstein-support", "duke-support"])
+            "wasserstein-support", "duke-support", "t-values-zero", "discriminant-envelope"])
     def test_bad_input_exit_two(self, argv, ini, tmp_path, monkeypatch, capsys):
         save_measure(haar_discretization(60, 40, 20.0), str(tmp_path / "haar.txt"))
         (tmp_path / "c.ini").write_text(ini)

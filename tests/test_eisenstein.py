@@ -15,7 +15,6 @@ from modsurf.arithmetic import (
     heegner_measure,
 )
 from modsurf.eisenstein import (
-    EisensteinParams,
     FourierTruncationWarning,
     MaassData,
     PartialBoundWarning,
@@ -68,10 +67,12 @@ class TestEisensteinEval:
         e_minus = eisenstein_eval(z, -1.3)
         assert abs(e_minus - e_plus.conjugate()) < 1e-10
 
-    def test_truncation_stability(self):
+    def test_truncation_stability(self, monkeypatch):
         z = Point(0.0, 1.0)
-        a = eisenstein_eval(z, 2.0, EisensteinParams(n_fourier=8))
-        b = eisenstein_eval(z, 2.0, EisensteinParams(n_fourier=16))
+        monkeypatch.setattr(eisenstein, "_auto_n_fourier", lambda y_min, t: 8)
+        a = eisenstein_eval(z, 2.0)
+        monkeypatch.setattr(eisenstein, "_auto_n_fourier", lambda y_min, t: 16)
+        b = eisenstein_eval(z, 2.0)
         assert abs(a - b) <= 1e-10
 
     def test_automorphy_random_points(self):
@@ -198,13 +199,15 @@ class TestBerryEsseen:
         assert b.total == b.leading_term == 0.5
         assert b.is_partial
 
-    def test_quadrature_refinement(self):
+    def test_quadrature_refinement(self, monkeypatch):
         m1 = heegner_measure(-23)
         m2 = haar_discretization(24, 18, 20.0)
+        assert eisenstein._T_QUAD == (12, 16)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            a = berry_esseen_rhs(m1, m2, 2.0, p=EisensteinParams(t_quad=(12, 16)))
-            b = berry_esseen_rhs(m1, m2, 2.0, p=EisensteinParams(t_quad=(24, 16)))
+            a = berry_esseen_rhs(m1, m2, 2.0)
+            monkeypatch.setattr(eisenstein, "_T_QUAD", (24, 16))
+            b = berry_esseen_rhs(m1, m2, 2.0)
         assert abs(a.eisenstein_term - b.eisenstein_term) <= 1e-6
 
     def test_cuspidal_monotonicity(self):
@@ -267,12 +270,12 @@ class TestBatchedT:
         many = berry_esseen_rhs_many(ms, grid, 2.0, data)
         assert many == [berry_esseen_rhs(m, grid, 2.0, data) for m in ms]
 
-    def test_truncation_warning_reaches_caller(self):
+    def test_truncation_warning_reaches_caller(self, monkeypatch):
         grid = haar_discretization(8, 6, 10.0)
         data = MaassData(np.array([9.533]), np.array([0.01]))
+        monkeypatch.setattr(eisenstein, "_auto_n_fourier", lambda y_min, t: 2)
         with pytest.warns(FourierTruncationWarning):
-            berry_esseen_rhs_many([heegner_measure(-7)], grid, 1.0, data,
-                                  EisensteinParams(n_fourier=2))
+            berry_esseen_rhs_many([heegner_measure(-7)], grid, 1.0, data)
 
     def test_partial_bound_warning_class(self):
         with pytest.warns(PartialBoundWarning):

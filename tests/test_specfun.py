@@ -18,7 +18,6 @@ from modsurf.specfun import (
     h_watson,
     hurwitz_zeta,
     kronecker_symbol,
-    log_gamma_complex,
     riemann_zeta,
 )
 
@@ -31,37 +30,6 @@ CATALAN = 0.9159655941772190
 K0_1 = 0.4210244382407083
 K0_2 = 0.1138938727495334
 H_WATSON_0_10 = 5.501870419724472
-
-
-class TestLogGamma:
-    def test_at_one(self):
-        assert log_gamma_complex(1.0) == 0.0
-
-    def test_at_half(self):
-        assert abs(log_gamma_complex(0.5) - math.log(math.sqrt(math.pi))) < 5e-15
-
-    def test_reflection_modulus(self):
-        t = 2.0
-        val = 2.0 * log_gamma_complex(complex(0.5, t)).real
-        expected = math.log(math.pi / math.cosh(math.pi * t))
-        assert abs(val - expected) < 1e-10
-
-    def test_recurrence(self):
-        s = complex(0.3, 1.7)
-        lhs = np.exp(log_gamma_complex(s + 1))
-        rhs = s * np.exp(log_gamma_complex(s))
-        np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
-
-    def test_pole(self):
-        with pytest.raises(PoleError):
-            log_gamma_complex(0.0)
-        with pytest.raises(PoleError):
-            log_gamma_complex(-3.0)
-
-    def test_conjugate_symmetry(self):
-        for s in (complex(0.25, 2.0), complex(1.5, -7.0)):
-            assert abs(log_gamma_complex(s.conjugate())
-                       - log_gamma_complex(s).conjugate()) < 1e-12
 
 
 class TestZeta:
@@ -80,12 +48,13 @@ class TestZeta:
             riemann_zeta(1.0)
 
     def test_doubling_stability(self):
-        # doubling truncation and order moves values by < 1e-10 in the window
-        for s in (0.5, complex(0.5, 10.0), complex(2.0, 100.0), complex(0.5, 900.0)):
-            base = riemann_zeta(s)
-            fine = riemann_zeta(s, n_terms=2 * max(25, math.ceil(1.2 * abs(complex(s).imag))),
-                                order=28)
-            assert abs(base - fine) < 1e-10
+        # the fixed truncation and order are within 1e-10 of zeta in the window
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(30):
+            for s in (0.5, complex(0.5, 10.0), complex(2.0, 100.0), complex(0.5, 900.0)):
+                s = complex(s)
+                ref = complex(mp.zeta(mp.mpc(s.real, s.imag)))
+                assert abs(riemann_zeta(s) - ref) < 1e-10
 
     def test_against_mpmath_window(self):
         mp = pytest.importorskip("mpmath")

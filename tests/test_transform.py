@@ -8,7 +8,6 @@ import pytest
 from modsurf import transform as tr
 from modsurf.hypgeo import Point
 from modsurf.transform import (
-    MollifierParams,
     TransformParams,
     arsinh_moment,
     automorphic_kernel,
@@ -178,24 +177,27 @@ class TestKernelMassByPreimageBalls:
 
 class TestMollifier:
     def test_support(self):
-        m = MollifierParams.create(0.5)
         S = math.sinh(0.25) ** 2
-        assert mollifier_k_eps(S, m) == 0.0
-        assert mollifier_k_eps(S * 1.01, m) == 0.0
-        assert mollifier_k_eps(S * 0.5, m) > 0.0
+        assert mollifier_k_eps(S, 0.5) == 0.0
+        assert mollifier_k_eps(S * 1.01, 0.5) == 0.0
+        assert mollifier_k_eps(S * 0.5, 0.5) > 0.0
+        for eps in (0.0, -0.1):
+            with pytest.raises(ValueError):
+                mollifier_k_eps(S, eps)
 
     def test_normalising_constant(self):
-        m = MollifierParams.create(0.3)
-        assert abs(m.C - 4.0 * math.pi * BUMP_UNIT_INTEGRAL) < 1e-10
+        # k_eps(0) = e^{-1} / (C S) with C = 4 pi int_0^1 e^{1/(u^2-1)} du
+        S = math.sinh(0.15) ** 2
+        C = 1.0 / (math.e * S * mollifier_k_eps(0.0, 0.3))
+        assert abs(C - 4.0 * math.pi * BUMP_UNIT_INTEGRAL) < 1e-10
 
     def test_unit_mass(self):
         from modsurf._gl import gl_panels
 
         for eps in (0.1, 0.5):
-            m = MollifierParams.create(eps)
             S = math.sinh(0.5 * eps) ** 2
             u, w = gl_panels(0.0, S, 8, 32)
-            total = 4.0 * math.pi * float((w * mollifier_k_eps(u, m)).sum())
+            total = 4.0 * math.pi * float((w * mollifier_k_eps(u, eps)).sum())
             assert abs(total - 1.0) < 1e-8
 
 

@@ -15,7 +15,6 @@ from modsurf.arithmetic import DiscreteMeasure, heegner_measure, load_measure
 from modsurf.hypgeo import Point
 from modsurf.transport import (
     DEFAULT_DUAL_FAMILY,
-    LipschitzFunction,
     SinkhornWarning,
     SupportLimitError,
     _northwest_basis,
@@ -461,7 +460,7 @@ class TestSinkhornNewton:
 
 class TestDualBounds:
     def test_constant_function(self):
-        F = LipschitzFunction(lambda xs, ys: np.full_like(xs, 2.0), 1.0)
+        F = lambda xs, ys: np.full_like(xs, 2.0)
         assert dual_lower_bound(DELTA_I, DELTA_2I, F) == 0.0
 
     def test_tight_on_deltas(self):
@@ -507,7 +506,7 @@ class TestDualBounds:
                     continue
                 vals = F(xs, ys)
                 quotient = abs(vals[0] - vals[1]) / d
-                assert quotient <= F.lipschitz_constant * (1.0 + 1e-6)
+                assert quotient <= 1.0 + 1e-6
 
 
 class TestPlanSerialisation:
