@@ -136,7 +136,8 @@ def load_config(path: str | None) -> ExperimentConfig:
     cfg = ExperimentConfig()
     if path is None:
         return cfg
-    parser = configparser.ConfigParser()
+    # no DEFAULT section: one named [DEFAULT] is checked like any other
+    parser = configparser.ConfigParser(default_section="")
     try:
         read = parser.read(path)
         values = {name: _parse(parser.get(sec, key), getattr(cfg, name))
@@ -147,6 +148,11 @@ def load_config(path: str | None) -> ExperimentConfig:
         raise ConfigError(f"malformed config: {str(exc).splitlines()[0]}") from exc
     if not read:
         raise ConfigError(f"cannot read config file {path}")
+    unknown = [f"[{sec}]" for sec in parser.sections() if sec not in _INI_KEYS]
+    unknown += [f"[{sec}] {key}" for sec in parser.sections() if sec in _INI_KEYS
+                for key in parser.options(sec) if key not in _INI_KEYS[sec]]
+    if unknown:
+        raise ConfigError(f"unknown config section or key: {', '.join(unknown)}")
     return replace(cfg, **values)
 
 
@@ -324,9 +330,6 @@ def cmd_duke(cfg: ExperimentConfig, args):
         data = MaassData.load(cfg.maass_data) if cfg.maass_data else None
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read Maass data {cfg.maass_data}: {exc}") from exc
-    if data is None:
-        print("note: no Maass data supplied; spectral bound is the Eisenstein "
-              "part only (partial bound)")
     grid = haar_discretization(cfg.n_x, cfg.n_levels, cfg.y_max)
     mesh = _haar_mesh_bound(cfg.n_x, cfg.n_levels, cfg.y_max)
     cusp_bound = 3.0 / (math.pi * cfg.y_max)
@@ -337,9 +340,12 @@ def cmd_duke(cfg: ExperimentConfig, args):
     for m in measures:  # fail before the spectral bound, not after it
         _check_support(m, grid)
     with warnings.catch_warnings():
-        # the partial-bound note prints once above
+        # the partial-bound note below stands for the warning
         warnings.simplefilter("ignore", PartialBoundWarning)
         bounds = berry_esseen_rhs_many(measures, grid, cfg.T, data)
+    if any(b.is_partial for b in bounds):
+        print("note: no Maass data supplied; spectral bound is the Eisenstein "
+              "part only (partial bound)")
     rows = []
     all_ok = True
     for D, m, bound in zip(ds, measures, bounds):

@@ -132,9 +132,10 @@ def _squarefree(n: int) -> bool:
     return all(n % (d * d) for d in range(2, math.isqrt(abs(n)) + 1))
 
 
-# Largest |D| taken: trial division runs to sqrt|D|, and dirichlet_l builds
-# (terms x |D|) complex arrays, several seconds per call near |D| = 1e6.
+# Largest |D| taken: trial division runs to sqrt|D|, and dirichlet_l takes
+# |D| Kronecker symbols, several seconds per call near |D| = 1e6.
 _D_MAX = 10**6
+_L_BLOCK = 4096  # shifts per _hurwitz_many call in dirichlet_l, bounding its arrays
 
 
 def is_fundamental(D: int) -> bool:
@@ -169,8 +170,9 @@ def dirichlet_l(s: complex, D: int) -> complex:
     s = complex(s)
     if s == 1:
         return complex(-(chi * digamma(a / q)).sum() / q)
-    vals = _hurwitz_many(s, a / q)
-    return complex(np.exp(-s * math.log(q)) * (chi * vals).sum())
+    total = sum((chi[i:i + _L_BLOCK] * _hurwitz_many(s, a[i:i + _L_BLOCK] / q)).sum()
+                for i in range(0, q, _L_BLOCK))
+    return complex(np.exp(-s * math.log(q)) * total)
 
 
 # ---------------------------------------------------------------------------

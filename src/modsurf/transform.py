@@ -12,15 +12,14 @@ sinh^2 A - sinh^2 B = sinh(A+B) sinh(A-B), which is cancellation-free.
 A second, independent route integrates the spectral definition against the
 conical function; the two are compared in the tests.
 
-The automorphic kernel sums k over the group; group elements are found by
-a breadth-first search over fundamental-domain tiles, pruned to the
-hyperbolic ball where k is above the truncation threshold.  The Mobius
-images gamma w and the point-pair quantities come from ``hypgeo``:
-``mobius_image``, ``sinh_half_rho`` for the tile search, ``pair_u`` for
-the kernel sums.  The surface mass of the kernel also takes the preimages
-gamma^-1 z of the base point from ``mobius_image``, one call for all tiles
-with gamma^-1 = (d, -b; -c, a), and evaluates each tile only on the grid
-nodes inside the ball around its preimage.
+The automorphic kernel sums k over the group elements whose tiles meet the
+hyperbolic ball where k is above the truncation threshold; ``ball_tiles``
+lists them in closed form from the bottom rows of gamma^-1.  Mobius images
+and point-pair quantities come from ``hypgeo``'s ``mobius_image`` and
+``pair_u``.  The surface mass of the kernel takes the preimages gamma^-1 z
+of the base point in one ``mobius_image`` call, with gamma^-1 =
+(d, -b; -c, a), and evaluates each tile only on the grid nodes inside the
+ball around its preimage.
 """
 
 from __future__ import annotations
@@ -33,8 +32,7 @@ from functools import lru_cache
 import numpy as np
 
 from ._gl import gl_panels
-from .hypgeo import (GEN_S, GEN_T, Point, canonical_sign, fundamental_domain_grid,
-                     mobius_image, pair_u, polar_image, reduce, sinh_half_rho)
+from .hypgeo import Point, fundamental_domain_grid, mobius_image, pair_u, polar_image, reduce
 from .specfun import conical_p
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -219,65 +217,45 @@ def arsinh_moment(params: "TransformParams") -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 # Group enumeration and the automorphic kernel
 
-# Sample heights are geometric with ratio 2; together with the corner and
-# edge samples every point of the fundamental domain below the top sample
-# is within ~1.0 of some sample, so a BFS margin of 1.3 is safe.
-_BFS_MARGIN = 1.3
 _MAX_TILES = 600_000
-
-_GEN_TUPLES = [(g.a, g.b, g.c, g.d) for g in (GEN_T, GEN_T.inverse(), GEN_S)]
-
-
-def _domain_samples(y_high: float) -> tuple[np.ndarray, np.ndarray]:
-    ys = [math.sqrt(3.0) / 2.0]
-    while ys[-1] < y_high:
-        ys.append(ys[-1] * 2.0)
-    xs = [0.0] * len(ys) + [-0.5] * len(ys) + [0.5] * len(ys) + [-0.5, 0.5]
-    ys += ys + ys + [math.sqrt(3.0) / 2.0] * 2
-    return np.array(xs), np.array(ys)
+_TILE_MARGIN = 1e-12  # relative widening of ball_tiles' two bounds, far above their rounding
 
 
-def ball_tiles(z: Point, rho_ball: float, y_high: float) -> np.ndarray:
-    """Matrices gamma (one per +-pair) whose tile gamma F meets the ball B(z, rho_ball).
+def ball_tiles(z: Point, rho_ball: float) -> np.ndarray:
+    """Matrices gamma (one per +-pair) whose tile gamma F may meet the ball B(z, rho_ball).
 
-    Breadth-first search by word length in the generators from the identity
-    tile; a tile is expanded when one of its sample points lies within
-    rho_ball plus a fixed coverage margin, which over-approximates the set
-    of tiles meeting the (convex) ball and therefore finds all of them.
-
-    Returns an integer array of shape (n, 4).
+    gamma F meets B(z, rho) only if F (|x| <= 1/2, y >= sqrt(3)/2) meets
+    B(w, rho), w = gamma^-1 z = x0 + i y0, which spans x0 +- y0 sinh rho and
+    reaches up to y0 e^rho.  So the bottom row (r, s) of gamma^-1, taken with
+    r > 0 or as (0, 1), has |rz + s|^2 = Im z / y0 <= (2/sqrt 3) Im z e^rho;
+    with p = s^-1 mod r, q = (ps - 1)/r, gamma^-1 = T^n (p, q; r, s) has
+    |x0 + n| <= 1/2 + y0 sinh rho.  Both bounds are widened by
+    ``_TILE_MARGIN``, so every tile meeting the ball is listed.  Returns an
+    integer array of shape (n, 4), cut at ``_MAX_TILES`` rows with a
+    TruncationWarning.
     """
-    sx, sy = _domain_samples(max(y_high, 2.0))
-    thresh = rho_ball + _BFS_MARGIN
-    sinh_half_lim = math.sinh(0.5 * thresh)
+    row_max = 2.0 / math.sqrt(3.0) * z.y * math.exp(rho_ball) * (1.0 + _TILE_MARGIN)
+    s_max = int(math.sqrt(row_max) * (1.0 + abs(z.x) / z.y)) + 1
+    r, s = np.mgrid[0:int(math.sqrt(row_max) / z.y) + 1, -s_max:s_max + 1].reshape(2, -1)
+    keep = (((r * z.x + s) ** 2 + (r * z.y) ** 2 <= row_max) & (np.gcd(r, s) == 1)
+            & ((r > 0) | (s == 1)))
+    r, s = r[keep], s[keep]
+    p = np.array([pow(b, -1, a) if a else 1 for a, b in zip(r.tolist(), s.tolist())], dtype=int)
+    q = (p * s - 1) // np.maximum(r, 1)
 
-    visited = {(1, 0, 0, 1)}
-    accepted = []
-    frontier = [(1, 0, 0, 1)]
-    while frontier:
-        mats = np.array(frontier, dtype=float)
-        gx, gy = mobius_image(*(mats[:, i:i + 1] for i in range(4)), sx, sy)
-        near = (sinh_half_rho(gx, gy, z.x, z.y) < sinh_half_lim).any(axis=1)
-        next_frontier = []
-        for row, ok in zip(frontier, near):
-            if not ok:
-                continue
-            accepted.append(row)
-            ra, rb, rc, rd = row
-            for ga, gb, gc, gd in _GEN_TUPLES:
-                child = canonical_sign(
-                    ra * ga + rb * gc, ra * gb + rb * gd,
-                    rc * ga + rd * gc, rc * gb + rd * gd,
-                )
-                if child not in visited:
-                    visited.add(child)
-                    next_frontier.append(child)
-        if len(visited) > _MAX_TILES:
-            warnings.warn("tile enumeration hit its size cap; kernel sum may be truncated",
-                          TruncationWarning, stacklevel=2)
-            break
-        frontier = next_frontier
-    return np.array(accepted, dtype=np.int64)
+    x0, y0 = mobius_image(p, q, r, s, z.x, z.y)
+    half = (0.5 + y0 * math.sinh(rho_ball)) * (1.0 + _TILE_MARGIN)
+    n_lo = np.ceil(-x0 - half).astype(np.int64)
+    count = np.floor(-x0 + half).astype(np.int64) - n_lo + 1
+    if count.sum() > _MAX_TILES:
+        warnings.warn("tile enumeration hit its size cap; kernel sum may be truncated",
+                      TruncationWarning, stacklevel=2)
+        count = np.clip(_MAX_TILES - (np.cumsum(count) - count), 0, count)
+    j = np.repeat(np.arange(len(count)), count)
+    n = n_lo[j] + np.arange(len(j)) - (np.cumsum(count) - count)[j]
+    # canonical_sign's representative: gamma's first entry s leads, and s = 0 only with b = 1
+    p, q, r, s = np.where(s < 0, -1, 1)[j] * np.array([p, q, r, s])[:, j]
+    return np.stack([s, -q - n * s, -r, p + n * r], axis=1)
 
 
 def automorphic_kernel(z: Point, w: Point, params: "TransformParams") -> float:
@@ -290,9 +268,7 @@ def automorphic_kernel(z: Point, w: Point, params: "TransformParams") -> float:
     tab = _kernel_table(params.T)
     zr = reduce(z).point
     wr = reduce(w).point
-    rho_ball = 2.0 * math.asinh(math.sqrt(params.u_cutoff))
-    y_high = max(50.0, zr.y * math.exp(rho_ball) * 1.05)
-    mats = ball_tiles(zr, rho_ball, y_high)
+    mats = ball_tiles(zr, 2.0 * math.asinh(math.sqrt(params.u_cutoff)))
     gx, gy = mobius_image(*mats.T.astype(float), wr.x, wr.y)
     u = pair_u(gx, gy, zr.x, zr.y)
     u = u[u <= params.u_cutoff]
@@ -338,8 +314,7 @@ def kernel_mass_on_surface(
     xs, ys, wmu = fundamental_domain_grid(n_x, n_levels, _Y_CUT)
 
     rho_tile = tab.rho_at_level(_TILE_LEVEL)
-    y_high = max(_Y_CUT * 1.05, zr.y * math.exp(rho_tile) * 1.05)
-    mats = ball_tiles(zr, rho_tile, y_high).astype(float)
+    mats = ball_tiles(zr, rho_tile).astype(float)
     u_lim = math.sinh(0.5 * rho_tile) ** 2
 
     # fundamental_domain_grid puts level l of a column at v = 1/_Y_CUT + (l + 1/2) v_step
@@ -375,8 +350,8 @@ def kernel_mass_on_surface(
             mass += float(w2[box][sel] @ tab.eval_u(u[sel]))
 
     # cusp tail above _Y_CUT: mu(F(_Y_CUT)) = 1/_Y_CUT times the kernel sup
-    # there; K at the probes is the full group sum, added tile by tile as
-    # the sum over axis 0 runs row by row
+    # there; K at the probes is the sum over the listed tiles, added tile by
+    # tile as the sum over axis 0 runs row by row
     top = np.linspace(-0.45, 0.45, 7)
     gx, gy = mobius_image(*(mats[:, i:i + 1] for i in range(4)), top, _Y_CUT)
     k_top = tab.eval_u(pair_u(gx, gy, zr.x, zr.y)).sum(axis=0)

@@ -5,7 +5,8 @@ it checks: a second integral representation for the conical function, a
 brute-force group sweep for the quotient distance, direct quadrature for
 the inner sine integral, basis enumeration for small transport LPs, plain
 Dirichlet series for L-functions, every tile folded over the whole grid for
-the kernel mass, the arclength parametrisation of a closed geodesic, the
+the kernel mass, every matrix in a box with sampled tile boundaries for the
+tiles meeting a ball, the arclength parametrisation of a closed geodesic, the
 cube root of the x^2 - D y^2 = 1 solution for t^2 - D u^2 = 4, and plain
 log-domain alternating Sinkhorn at one regularisation for the entropic plan.
 """
@@ -20,8 +21,8 @@ from scipy.special import logsumexp
 
 from modsurf._gl import gl_panels
 from modsurf.arithmetic import ClosedGeodesic
-from modsurf.hypgeo import (Point, distance, fundamental_domain_grid, mobius_apply, mobius_image,
-                            pair_u, reduce)
+from modsurf.hypgeo import (Point, canonical_sign, distance, fundamental_domain_grid, mobius_apply,
+                            mobius_image, pair_u, reduce)
 from modsurf.specfun import kronecker_symbol
 from modsurf.transform import _kernel_table, ball_tiles, k_of_rho
 
@@ -136,8 +137,7 @@ def full_grid_kernel_mass(z: Point, params, n_x: int = 170, n_levels: int = 170,
     zr = reduce(z).point
     xs, ys, wmu = fundamental_domain_grid(n_x, n_levels, y_cut)
     rho_tile = tab.rho_at_level(tile_level)
-    y_high = max(y_cut * 1.05, zr.y * math.exp(rho_tile) * 1.05)
-    mats = ball_tiles(zr, rho_tile, y_high)
+    mats = ball_tiles(zr, rho_tile)
 
     mass = 0.0
     top = np.linspace(-0.45, 0.45, 7)
@@ -157,6 +157,50 @@ def full_grid_kernel_mass(z: Point, params, n_x: int = 170, n_levels: int = 170,
     rho, wq = gl_panels(rho_tile, rho_hi, 6, 24)
     tail_k = float(4.0 * math.pi * (wq * k_of_rho(rho, params.T) * 0.5 * np.sinh(rho)).sum())
     return mass, abs(tail_cusp) + abs(tail_k)
+
+
+def brute_force_ball_tiles(z: Point, rho: float, bound: int, delta: float = 0.02) -> set:
+    """Every gamma, entries in [-bound, bound], with a tile boundary sample within rho - delta of z.
+
+    The boundary of F is sampled at hyperbolic spacing delta: the arc
+    |w| = 1 between the corners, and the sides x = +-1/2 from sqrt(3)/2 up
+    to max(Im z, 1/Im z) e^rho, which bounds Im(gamma^-1 z) e^rho.  A
+    sample b counts by rho(z, gamma b) = rho(gamma^-1 z, b), from
+    cosh rho = 1 + |w - b|^2 / (2 Im w Im b) in complex arithmetic.  The
+    first column (a, c) of gamma is pruned by rho(w, b) >= log(Im b / Im w),
+    before the second column is solved from ad - bc = 1.  Returns
+    canonical-sign tuples (a, b, c, d), one per +-pair.
+    """
+    corner_y = math.sqrt(3.0) / 2.0
+    y_top = max(z.y, 1.0 / z.y) * math.exp(rho)
+    side = corner_y * np.exp(np.arange(0.0, math.log(y_top / corner_y) + delta, delta))
+    # arc length element d theta / sin theta, with sin theta >= sqrt(3)/2
+    n_arc = math.ceil(math.pi / 3.0 / (delta * corner_y)) + 1
+    theta = np.linspace(math.pi / 3.0, 2.0 * math.pi / 3.0, n_arc)
+    samples = np.concatenate([-0.5 + 1j * side, 0.5 + 1j * side, np.exp(1j * theta)])
+    zc = complex(z.x, z.y)
+    im_min = corner_y * math.exp(-(rho - delta))
+
+    mats = [np.array([[1, b, 0, 1] for b in range(-bound, bound + 1)])]
+    dd = np.arange(-bound, bound + 1)
+    for c in range(1, bound + 1):
+        a = dd[z.y / np.abs(dd - c * zc) ** 2 >= im_min]
+        for aa in a[np.gcd(a, c) == 1].tolist():
+            d = dd[(aa * dd - 1) % c == 0]
+            b = (aa * d - 1) // c
+            d, b = d[np.abs(b) <= bound], b[np.abs(b) <= bound]
+            mats.append(np.stack([np.full(len(d), aa), b, np.full(len(d), c), d], axis=1))
+    mats = np.concatenate(mats)
+
+    found = set()
+    cosh_lim = math.cosh(rho - delta)
+    for blk in range(0, len(mats), 512):
+        a, b, c, d = mats[blk:blk + 512].T
+        w = (d * zc - b) / (a - c * zc)
+        cosh_rho = 1.0 + np.abs(w[:, None] - samples) ** 2 / (2.0 * w.imag[:, None] * samples.imag)
+        for g in mats[blk:blk + 512][(cosh_rho <= cosh_lim).any(axis=1)].tolist():
+            found.add(canonical_sign(*g))
+    return found
 
 
 def geodesic_path_points(geo: ClosedGeodesic, samples_per_unit_length: int) -> np.ndarray:

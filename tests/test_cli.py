@@ -285,6 +285,17 @@ class TestDuke:
         rows = json.loads(out.read_text())
         assert rows[0]["berry_esseen_total"] > 0
 
+    def test_comment_only_maass_data_is_partial(self, tmp_path, monkeypatch, capsys):
+        cfgp = tmp_path / "c.ini"
+        cfgp.write_text("[experiment]\ndiscriminants = -4\n"
+                        "[haar]\nn_x = 12\nn_levels = 10\ny_max = 10\n")
+        maass = tmp_path / "m.txt"
+        maass.write_text("# no rows\n")
+        code = run(["duke", "--config", str(cfgp), "--maass-data", str(maass),
+                    "--out", str(tmp_path / "d.csv")], tmp_path, monkeypatch)
+        assert code == 0
+        assert "(partial bound)" in capsys.readouterr().out
+
 
 class TestWassersteinInput:
     def test_bad_weights_exit_two(self, tmp_path, monkeypatch, capsys):
@@ -402,9 +413,12 @@ class TestArgumentErrors:
         (["weyl-compare"], "[experiment]\ndiscriminants = -7\nt_values = 0.0 1.0\n"),
         # trial division to sqrt|D| would not finish; the envelope check comes first
         (["weyl-compare"], "[experiment]\ndiscriminants = -1000000000000000003\n"),
+        (["transform-check"], "[experiment]\nbandwith = 2.0\n"),
+        (["transform-check"], "[experiment]\nbandwidth = 2.0\n[tolerence]\n"),
     ], ids=["empty-bandwidth", "empty-t-values", "n-x-zero", "n-levels-negative", "y-max-nan",
             "bandwidth-inf", "seed-negative", "seed-flag-negative", "eps-zero",
-            "wasserstein-support", "duke-support", "t-values-zero", "discriminant-envelope"])
+            "wasserstein-support", "duke-support", "t-values-zero", "discriminant-envelope",
+            "misspelt-key", "unknown-empty-section"])
     def test_bad_input_exit_two(self, argv, ini, tmp_path, monkeypatch, capsys):
         save_measure(haar_discretization(60, 40, 20.0), str(tmp_path / "haar.txt"))
         (tmp_path / "c.ini").write_text(ini)

@@ -1,10 +1,12 @@
 """Tests for the special-function layer."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from modsurf import specfun
 from modsurf._gl import gl_panels
 from modsurf.specfun import (
     PoleError,
@@ -150,6 +152,31 @@ class TestDirichletL:
     def test_rejects_non_fundamental(self):
         with pytest.raises(ValueError):
             dirichlet_l(2.0, 9)
+
+
+class TestDirichletLBlocks:
+    """dirichlet_l sums its |D| shifts in blocks of ``_L_BLOCK``."""
+
+    D = -100003
+
+    @pytest.fixture(scope="class")
+    def blocked(self):
+        tracemalloc.start()
+        try:
+            value = dirichlet_l(0.5 + 1j, self.D)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return value, peak
+
+    def test_peak_memory_bounded(self, blocked):
+        # one (terms x |D|) array of complex entries would take over 40 MB
+        assert blocked[1] < 16e6
+
+    def test_agrees_with_one_block(self, blocked, monkeypatch):
+        monkeypatch.setattr(specfun, "_L_BLOCK", abs(self.D))
+        single = dirichlet_l(0.5 + 1j, self.D)
+        assert abs(blocked[0] - single) <= 1e-13 * abs(single)
 
 
 class TestBesselK:

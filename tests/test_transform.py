@@ -21,7 +21,7 @@ from modsurf.transform import (
     smooth,
 )
 
-from oracles import full_grid_kernel_mass, quad_inner_sine
+from oracles import brute_force_ball_tiles, full_grid_kernel_mass, quad_inner_sine
 
 # frozen from the 40-digit quadrature oracle
 BUMP_UNIT_INTEGRAL = 0.2219969080840397
@@ -168,11 +168,31 @@ class TestKernelMassByPreimageBalls:
         # the selection margin that node is dropped
         Point(-0.5, 1.047803440528859),
         Point(0.3, 0.9),  # reduced inside
-        Point(0.1, 4.0),  # y_high comes from z.y e^rho_tile
+        Point(0.1, 4.0),  # the ball reaches far above the grid top
     ])
     def test_bit_identical_to_full_grid(self, z, params_t2):
         assert (tr.kernel_mass_on_surface(z, params_t2, n_x=60, n_levels=60)
                 == full_grid_kernel_mass(z, params_t2, n_x=60, n_levels=60))
+
+
+class TestBallTilesComplete:
+    """ball_tiles against a sweep of every matrix in a box."""
+
+    @pytest.mark.parametrize("T", [1.0, 2.0])
+    @pytest.mark.parametrize("z", [
+        Point(0.0, 1.0),
+        Point(-0.5, math.sqrt(3.0) / 2.0),
+        Point(-0.5, 1.047803440528859),
+        Point(0.1, 4.0),
+        Point(0.2, 16.0),
+    ])
+    def test_every_tile_in_the_ball_is_listed(self, z, T):
+        rho = tr._kernel_table(T).rho_at_level(tr._TILE_LEVEL)
+        # the translates of F alone need |b| up to Im z sinh rho
+        bound = math.ceil(max(z.y, 1.0 / z.y) * math.sinh(rho)) + 8
+        found = brute_force_ball_tiles(z, rho, bound)
+        assert max(abs(e) for g in found for e in g) < bound
+        assert found <= set(map(tuple, tr.ball_tiles(z, rho).tolist()))
 
 
 class TestMollifier:
