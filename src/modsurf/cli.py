@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import csv
 import io
 import json
@@ -156,6 +157,15 @@ def load_config(path: str | None) -> ExperimentConfig:
     return replace(cfg, **values)
 
 
+@contextlib.contextmanager
+def _writing(path: str):
+    """Report a failed write to path as a ConfigError: exit 2, one line."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
 def _emit(rows: list[dict], columns: tuple[str, ...], out: str | None, as_json: bool) -> None:
     """Write rows as CSV (or JSON) to a path or stdout; key order is fixed."""
     if as_json:
@@ -168,11 +178,8 @@ def _emit(rows: list[dict], columns: tuple[str, ...], out: str | None, as_json: 
             writer.writerow({k: row.get(k, "") for k in columns})
         text = buf.getvalue()
     if out:
-        try:
-            with open(out, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise ConfigError(f"cannot write {out}: {exc}") from exc
+        with _writing(out), open(out, "w") as fh:
+            fh.write(text)
     else:
         sys.stdout.write(text)
 
@@ -251,7 +258,8 @@ def cmd_heegner(cfg: ExperimentConfig, args):
     for D in sorted((d for d in cfg.discriminants if d < 0), key=abs):
         m = heegner_measure(D)
         path = f"heegner_{abs(D)}.txt"
-        save_measure(m, path)
+        with _writing(path):
+            save_measure(m, path)
         rows.append({"D": D, "class_number": len(m), "file": path,
                      "max_height": float(m.ys.max())})
         print(f"D={D}: {len(m)} atoms -> {path}")
@@ -264,7 +272,8 @@ def cmd_geodesics(cfg: ExperimentConfig, args):
         geos = closed_geodesics(D)
         m = geodesic_measure(D, cfg.samples_per_unit_length)
         path = f"geodesic_{D}.txt"
-        save_measure(m, path)
+        with _writing(path):
+            save_measure(m, path)
         rows.append({"D": D, "narrow_classes": len(geos),
                      "length": geos[0].length, "atoms": len(m), "file": path})
         print(f"D={D}: {len(geos)} classes, length {geos[0].length:.6f} -> {path}")
@@ -292,18 +301,17 @@ def cmd_weyl_compare(cfg: ExperimentConfig, args):
     rows = []
     all_ok = True
     for D in cfg.discriminants:
-        ratios = []
-        for t in cfg.t_values:
-            c = weyl_compare(D, t, samples_per_unit_length=cfg.samples_per_unit_length)
-            ratios.append(c.ratio)
-            exempt = D in (-3, -4)
-            tol = cfg.tol_weyl_positive if D > 0 else cfg.tol_weyl
-            ok = True if exempt else abs(c.ratio - 1.0) <= tol
+        c = weyl_compare(D, cfg.t_values, cfg.samples_per_unit_length)
+        ratios = c.ratio.tolist()
+        exempt = D in (-3, -4)
+        tol = cfg.tol_weyl_positive if D > 0 else cfg.tol_weyl
+        for t, emp, exact, ratio in zip(cfg.t_values, c.empirical_sq.tolist(),
+                                        c.exact_sq.tolist(), ratios):
+            ok = exempt or abs(ratio - 1.0) <= tol
             all_ok &= ok
-            rows.append({"D": D, "t": t, "empirical_sq": c.empirical_sq,
-                         "exact_sq": c.exact_sq, "ratio": c.ratio,
-                         "pass": ok if not exempt else "recorded"})
-        if D in (-3, -4):
+            rows.append({"D": D, "t": t, "empirical_sq": emp, "exact_sq": exact,
+                         "ratio": ratio, "pass": "recorded" if exempt else ok})
+        if exempt:
             spread = max(ratios) - min(ratios)
             ok = spread <= cfg.tol_weyl
             all_ok &= ok
@@ -311,8 +319,7 @@ def cmd_weyl_compare(cfg: ExperimentConfig, args):
                         f"recorded offset {sum(ratios) / len(ratios):.6f}")
         else:
             worst = max(abs(r - 1.0) for r in ratios)
-            _status(worst <= (cfg.tol_weyl_positive if D > 0 else cfg.tol_weyl),
-                    f"D={D}: max |ratio-1| = {worst:.2e}")
+            _status(worst <= tol, f"D={D}: max |ratio-1| = {worst:.2e}")
     return rows, all_ok
 
 
@@ -344,8 +351,9 @@ def cmd_duke(cfg: ExperimentConfig, args):
         warnings.simplefilter("ignore", PartialBoundWarning)
         bounds = berry_esseen_rhs_many(measures, grid, cfg.T, data)
     if any(b.is_partial for b in bounds):
-        print("note: no Maass data supplied; spectral bound is the Eisenstein "
-              "part only (partial bound)")
+        source = (f"Maass data {cfg.maass_data} holds no rows" if cfg.maass_data
+                  else "no Maass data supplied")
+        print(f"note: {source}; spectral bound is the Eisenstein part only (partial bound)")
     rows = []
     all_ok = True
     for D, m, bound in zip(ds, measures, bounds):
@@ -422,7 +430,8 @@ def cmd_wasserstein(cfg: ExperimentConfig, args):
             raise ConfigError(f"cannot read measure {path}: {exc}") from exc
     value, plan = w1_exact(*measures)
     if args.plan_out:
-        save_plan(plan, args.plan_out)
+        with _writing(args.plan_out):
+            save_plan(plan, args.plan_out)
     print(f"W1 = {value:.12g}")
     return [{"file1": args.measure1, "file2": args.measure2, "W1": value}], True
 

@@ -14,16 +14,16 @@ lam_t(n) = sum_{ad=n} (a/d)^{it}.
 whose omitted Bessel terms are negligible at the lowest point.
 `eisenstein_eval_many` takes an array of t as a batch axis: the t values
 that share a Fourier length go to `bessel_k_imag_many` in one call, which
-reuses one Bessel kernel per theta-grid.
+reuses one Bessel kernel per theta-grid, and one log xi(1 + 2it) per t.
 
-Empirical Weyl sums integrate E against discrete measures; the exact
-squared Weyl sums for Heegner/geodesic measures come out of the class
-number formula with the gamma factors H_-/H_+, and the two routes are
-compared by `weyl_compare`.  `berry_esseen_rhs_many` assembles the
-spectral upper bound for the Wasserstein distance from several measures to
-one reference, whose Weyl sums at the t-nodes of `_T_QUAD` are computed
-once per call; the cuspidal contribution is supplied as external data, and
-a bound without it is flagged by `PartialBoundWarning`.
+Empirical Weyl sums integrate E against discrete measures for an array of
+t; the exact squared Weyl sums for Heegner/geodesic measures come out of
+the class number formula with the gamma factors H_-/H_+, and the two
+routes are compared by `weyl_compare`.  `berry_esseen_rhs_many` assembles
+the spectral upper bound for the Wasserstein distance from several
+measures to one reference, whose Weyl sums at the t-nodes of `_T_QUAD`
+are computed once per call; the cuspidal contribution is supplied as
+external data, and a bound without it is flagged by `PartialBoundWarning`.
 """
 
 from __future__ import annotations
@@ -76,34 +76,27 @@ def _check_t(t: float) -> float:
     return t
 
 
-def _log_xi(s: complex) -> complex:
-    """log xi(s) for the completed zeta xi(s) = pi^{-s/2} Gamma(s/2) zeta(s)."""
-    return -0.5 * s * math.log(math.pi) + loggamma(s / 2.0) + cmath.log(riemann_zeta(s))
+def _xi_phi(t: float) -> tuple[complex, complex]:
+    """(xi(1 + 2it), phi(t)) from one log xi; xi(s) = pi^{-s/2} Gamma(s/2) zeta(s).
+
+    phi(t) = xi(1 - 2it)/xi(1 + 2it) has the conjugate of its denominator as
+    numerator for real t, so it is the pure phase exp(-2i Im log xi(1 + 2it)).
+    """
+    s = complex(1.0, 2.0 * t)
+    log_xi = -0.5 * s * math.log(math.pi) + loggamma(s / 2.0) + cmath.log(riemann_zeta(s))
+    return cmath.exp(log_xi), cmath.exp(1j * (-2.0 * log_xi.imag))
 
 
 def scattering_phi(t: float) -> complex:
-    """Scattering coefficient phi(1/2 + it) = xi(2s - 1)/xi(2s); unimodular.
-
-    Computed through the functional equation as xi(1 - 2it)/xi(1 + 2it),
-    whose numerator is the conjugate of the denominator for real t, so the
-    result is a pure phase.
-    """
-    t = _check_t(t)
-    s = complex(1.0, 2.0 * t)
-    phase = -2.0 * _log_xi(s).imag
-    return cmath.exp(1j * phase)
+    """Scattering coefficient phi(1/2 + it); unimodular."""
+    return _xi_phi(_check_t(t))[1]
 
 
 def _divisor_lambdas(n_max: int, t: float) -> np.ndarray:
     """Real coefficients lam_t(n) = sum_{ad=n} (a/d)^{it} for n = 1..n_max."""
-    lam = np.zeros(n_max)
-    for n in range(1, n_max + 1):
-        total = 0.0
-        for d in range(1, n + 1):
-            if n % d == 0:
-                total += math.cos(t * math.log(n / (d * d)))
-        lam[n - 1] = total
-    return lam
+    return np.array([sum(math.cos(t * math.log(n / (d * d)))
+                         for d in range(1, n + 1) if n % d == 0)
+                     for n in range(1, n_max + 1)])
 
 
 def _auto_n_fourier(y_min: float, t: float) -> int:
@@ -143,8 +136,7 @@ def eisenstein_eval_many(xs: np.ndarray, ys: np.ndarray, t) -> np.ndarray:
         cos_nx = np.cos(2.0 * math.pi * np.outer(ns, xs))
         for i, kb in zip(idx, kbs):
             t = flat_ts[i]
-            xi_2s = cmath.exp(_log_xi(complex(1.0, 2.0 * t)))
-            phi = scattering_phi(t)
+            xi_2s, phi = _xi_phi(t)
             val = sqrt_y * (np.exp(1j * t * logy) + phi * np.exp(-1j * t * logy))
             lam = _divisor_lambdas(n_f, t)
             fourier = (lam[:, None] * kb * cos_nx).sum(axis=0)
@@ -170,14 +162,15 @@ def eisenstein_eval(z, t: float) -> complex:
     return complex(eisenstein_eval_many(np.array([z.x]), np.array([z.y]), t)[0])
 
 
-def _weyl_sums(m: DiscreteMeasure, ts: np.ndarray) -> np.ndarray:
-    """Integrals of E(., 1/2 + it) against a discrete measure, one per t in ts."""
-    return (m.weights * eisenstein_eval_many(m.xs, m.ys, ts)).sum(axis=1)
+def weyl_sum_empirical(m: DiscreteMeasure, t) -> np.ndarray:
+    """Integrals of E(., 1/2 + it) against a discrete measure, shaped like t."""
+    return (m.weights * eisenstein_eval_many(m.xs, m.ys, t)).sum(axis=-1)
 
 
-def weyl_sum_empirical(m: DiscreteMeasure, t: float) -> complex:
-    """Integral of E(., 1/2 + it) against a discrete measure."""
-    return complex(_weyl_sums(m, np.array([t]))[0])
+def _abs_sq(w) -> np.ndarray:
+    """|w|^2 elementwise, shaped like w."""
+    # Python's scalar abs and ** round differently from np.abs and np.square
+    return np.reshape([abs(v) ** 2 for v in np.ravel(w).tolist()], np.shape(w))
 
 
 def weyl_sum_exact_sq(D: int, t: float) -> float:
@@ -198,21 +191,22 @@ def weyl_sum_exact_sq(D: int, t: float) -> float:
 
 @dataclass(frozen=True)
 class WeylComparison:
-    empirical_sq: float
-    exact_sq: float
-    ratio: float
+    empirical_sq: np.ndarray
+    exact_sq: np.ndarray
+    ratio: np.ndarray
 
 
-def weyl_compare(D: int, t: float, samples_per_unit_length: int = 200) -> WeylComparison:
+def weyl_compare(D: int, t, samples_per_unit_length: int = 200) -> WeylComparison:
     """Empirical versus exact squared Weyl sum for the measure of discriminant D.
 
     For D < 0 the measure is the Heegner-point measure; for D > 0 the
-    closed geodesics are sampled at the given rate.  The headline identity
-    is ratio = 1.
+    closed geodesics are sampled at the given rate; the measure is built once
+    for all t, and each field is shaped like t.  The headline identity is
+    ratio = 1.
     """
     m = heegner_measure(D) if D < 0 else geodesic_measure(D, samples_per_unit_length)
-    emp = abs(weyl_sum_empirical(m, t)) ** 2
-    exact = weyl_sum_exact_sq(D, t)
+    emp = _abs_sq(weyl_sum_empirical(m, t))
+    exact = np.reshape([weyl_sum_exact_sq(D, v) for v in np.ravel(t).tolist()], np.shape(t))
     return WeylComparison(empirical_sq=emp, exact_sq=exact, ratio=emp / exact)
 
 
@@ -280,27 +274,22 @@ def berry_esseen_rhs_many(
 
     t_max = max(3.0 * T, 15.0)
     nodes, wts = gl_panels(0.0, t_max, *_T_QUAD)
-    ref_sums = _weyl_sums(reference, nodes)
+    ref_sums = weyl_sum_empirical(reference, nodes)
     weight = np.exp(-(nodes**2) / (T * T)) / (0.25 + nodes**2)
 
-    if data is None or len(data.t_f) == 0:
-        cusp = 0.0
-        partial = True
-        warnings.warn(
-            "no cuspidal data supplied; the bound is a partial evaluation "
-            "(Eisenstein part only)",
-            PartialBoundWarning, stacklevel=2,
-        )
+    partial = data is None or len(data.t_f) == 0
+    cusp = 0.0
+    if partial:
+        warnings.warn("no cuspidal data supplied; the bound is a partial evaluation "
+                      "(Eisenstein part only)", PartialBoundWarning, stacklevel=2)
     else:
         w = np.exp(-data.t_f**2 / (T * T)) / (0.25 + data.t_f**2)
         cusp = float((w * data.weyl_sq_diff).sum())
-        partial = False
 
     leading = 1.0 / T
     bounds = []
     for m in measures:
-        # Python's scalar abs and ** round differently from np.abs and np.square
-        sq = np.array([abs(d) ** 2 for d in (_weyl_sums(m, nodes) - ref_sums).tolist()])
+        sq = _abs_sq(weyl_sum_empirical(m, nodes) - ref_sums)
         # even integrand: both half-lines
         eis = float(2.0 * (wts * weight * sq).sum() / (4.0 * math.pi))
 

@@ -140,6 +140,18 @@ class TestWeylCompare:
         assert run(["weyl-compare", "--out", str(out)], tmp_path, monkeypatch) == 0
         assert out.read_bytes() == (DATA / "weyl_compare_default.csv").read_bytes()
 
+    def test_signs_and_exempt_golden(self, tmp_path, monkeypatch, capsys):
+        # the D > 0 tolerance, the exempt rows and spread lines of D = -3, -4,
+        # and a negative t
+        (tmp_path / "c.ini").write_text("[experiment]\ndiscriminants = 5 8 -7 -4 -3\n"
+                                        "t_values = 0.5 -1.5 3.0\n")
+        out = tmp_path / "w.csv"
+        assert run(["weyl-compare", "--config", "c.ini", "--out", str(out)],
+                   tmp_path, monkeypatch) == 0
+        golden = DATA / "weyl_compare_exempt_negative_t"
+        assert out.read_bytes() == golden.with_suffix(".csv").read_bytes()
+        assert capsys.readouterr().out == golden.with_suffix(".stdout").read_text()
+
     def test_json_mirror(self, tmp_path, monkeypatch):
         cfgp = tmp_path / "c.ini"
         cfgp.write_text("[experiment]\ndiscriminants = -7\n")
@@ -294,7 +306,9 @@ class TestDuke:
         code = run(["duke", "--config", str(cfgp), "--maass-data", str(maass),
                     "--out", str(tmp_path / "d.csv")], tmp_path, monkeypatch)
         assert code == 0
-        assert "(partial bound)" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "(partial bound)" in out and "m.txt holds no rows" in out
+        assert "no Maass data supplied" not in out
 
 
 class TestWassersteinInput:
@@ -426,11 +440,20 @@ class TestArgumentErrors:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("config error: ")
 
-    def test_unwritable_out_exit_two(self, tmp_path, monkeypatch, capsys):
-        out = tmp_path / "no-such-dir" / "h.csv"
-        assert run(["heegner", "--out", str(out)], tmp_path, monkeypatch) == 2
+    @pytest.mark.parametrize("argv, path", [
+        (["heegner", "--out", "no-such-dir/h.csv"], "no-such-dir/h.csv"),
+        (["wasserstein", "one.txt", "one.txt", "--plan-out", "no-such-dir/plan.txt"],
+         "no-such-dir/plan.txt"),
+        # heegner writes heegner_7.txt first, and a directory holds that name
+        (["heegner"], "heegner_7.txt"),
+    ], ids=["out", "plan-out", "measure-file"])
+    def test_unwritable_out_exit_two(self, argv, path, tmp_path, monkeypatch, capsys):
+        (tmp_path / "one.txt").write_text("0.0 2.0 1.0\n")
+        if path == "heegner_7.txt":
+            (tmp_path / path).mkdir()
+        assert run(argv, tmp_path, monkeypatch) == 2
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and "no-such-dir" in err[0]
+        assert len(err) == 1 and err[0].startswith(f"config error: cannot write {path}: ")
 
     def test_seed_overrides_config(self, tmp_path, monkeypatch):
         seen = []

@@ -263,6 +263,34 @@ class TestBatchedT:
         for t, row in zip(ts, batched):
             assert np.array_equal(row, eisenstein_eval_many(m.xs, m.ys, float(t)))
 
+    def test_weyl_compare_over_t_equals_per_t_calls(self, monkeypatch):
+        ts = np.array([0.5, -1.5, 3.0])
+        for D in (-7, 5, -4):
+            c = weyl_compare(D, ts, samples_per_unit_length=50)
+            assert c.ratio.shape == ts.shape
+            for i, t in enumerate(ts.tolist()):
+                one = weyl_compare(D, t, samples_per_unit_length=50)
+                assert c.empirical_sq[i] == one.empirical_sq
+                assert c.exact_sq[i] == one.exact_sq
+                assert c.ratio[i] == one.ratio
+        builds = []
+        for name in ("heegner_measure", "geodesic_measure"):
+            build = getattr(eisenstein, name)
+            monkeypatch.setattr(eisenstein, name,
+                                lambda *a, build=build: builds.append(a) or build(*a))
+        weyl_compare(-7, ts)
+        weyl_compare(5, ts, samples_per_unit_length=50)
+        assert builds == [(-7,), (5, 50)]
+
+    def test_one_zeta_per_t(self, monkeypatch):
+        # xi(1 + 2it) and phi(t) come from one log xi
+        calls = []
+        zeta = eisenstein.riemann_zeta
+        monkeypatch.setattr(eisenstein, "riemann_zeta", lambda s: calls.append(s) or zeta(s))
+        m = heegner_measure(-23)
+        eisenstein_eval_many(m.xs, m.ys, np.array([0.3, -2.0, 7.5, 14.9, 3.0]))
+        assert len(calls) == 5
+
     def test_rhs_many_equals_pairwise(self):
         grid = haar_discretization(12, 10, 20.0)
         ms = [heegner_measure(-4), heegner_measure(-23), geodesic_measure(5, 20)]

@@ -66,6 +66,7 @@ def test_private_constants_are_read():
 # exported names that need no caller in src or perfbench, and why
 _EXPORTED_WITHOUT_CALLER = {
     "eisenstein_eval": "scalar wrapper of eisenstein_eval_many",
+    "scattering_phi": "scalar wrapper of the φ that eisenstein_eval_many uses",
     "h_watson": "the weight of Watson's theorem in the paper",
     "automorphic_kernel": "the kernel the surface mass sums; its caller is still to come",
 }
