@@ -269,6 +269,25 @@ class TestDuke:
                    tmp_path, monkeypatch) == 0
         assert out.read_bytes() == (DATA / "duke_two_discriminants.csv").read_bytes()
 
+    def test_default_golden(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "d.csv"
+        assert run(["duke", "--out", str(out)], tmp_path, monkeypatch) == 0
+        assert out.read_bytes() == (DATA / "duke_default.csv").read_bytes()
+        assert capsys.readouterr().out == (DATA / "duke_default.stdout").read_text()
+
+    def test_mixed_geodesic_golden(self, tmp_path, monkeypatch, capsys):
+        # measures of different lowest atoms and Fourier lengths, one of them
+        # a geodesic measure; T = 2 keeps t <= 15
+        (tmp_path / "c.ini").write_text(
+            "[experiment]\ndiscriminants = 5 -3 -4 -23\nbandwidth = 2.0\n"
+            "[haar]\nn_x = 12\nn_levels = 10\ny_max = 10\n"
+            "[geodesic]\nsamples_per_unit_length = 50\n")
+        out = tmp_path / "d.csv"
+        assert run(["duke", "--config", "c.ini", "--out", str(out)], tmp_path, monkeypatch) == 0
+        golden = DATA / "duke_mixed_geodesic"
+        assert out.read_bytes() == golden.with_suffix(".csv").read_bytes()
+        assert capsys.readouterr().out == golden.with_suffix(".stdout").read_text()
+
     def test_missing_maass_data_exit_two(self, tmp_path, monkeypatch, capsys):
         code = run(["duke", "--maass-data", str(tmp_path / "absent.txt")],
                    tmp_path, monkeypatch)
