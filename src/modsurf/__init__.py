@@ -32,6 +32,7 @@ from .eisenstein import (
     weyl_compare,
     weyl_sum_empirical,
     weyl_sum_exact_sq,
+    weyl_sums_empirical,
 )
 from .hypgeo import (
     Point,

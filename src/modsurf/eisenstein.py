@@ -14,16 +14,17 @@ lam_t(n) = sum_{ad=n} (a/d)^{it}.
 whose omitted Bessel terms are negligible at the lowest point.
 `eisenstein_eval_many` takes an array of t as a batch axis: the t values
 that share a Fourier length go to `bessel_k_imag_many` in one call, which
-reuses one Bessel kernel per theta-grid, and one log xi(1 + 2it) per t.
+reuses one Bessel kernel per theta-grid.  The t-factors xi(1 + 2it), phi(t)
+and lam_t(n) are computed once per call, for every point set of the call.
 
-Empirical Weyl sums integrate E against discrete measures for an array of
-t; the exact squared Weyl sums for Heegner/geodesic measures come out of
-the class number formula with the gamma factors H_-/H_+, and the two
+Empirical Weyl sums integrate E against several discrete measures for an
+array of t; the exact squared Weyl sums for Heegner/geodesic measures come
+out of the class number formula with the gamma factors H_-/H_+, and the two
 routes are compared by `weyl_compare`.  `berry_esseen_rhs_many` assembles
-the spectral upper bound for the Wasserstein distance from several
-measures to one reference, whose Weyl sums at the t-nodes of `_T_QUAD`
-are computed once per call; the cuspidal contribution is supplied as
-external data, and a bound without it is flagged by `PartialBoundWarning`.
+the spectral upper bound for the Wasserstein distance from several measures
+to one reference, all of whose Weyl sums at the t-nodes of `_T_QUAD` come
+from one call; the cuspidal contribution is supplied as external data, and
+a bound without it is flagged by `PartialBoundWarning`.
 """
 
 from __future__ import annotations
@@ -106,6 +107,57 @@ def _auto_n_fourier(y_min: float, t: float) -> int:
     return max(1, math.ceil(max(40.0, abs(t) + 15.0) / (2.0 * math.pi * y_min))) + 1
 
 
+def _eval_sets(sets, t):
+    """E(z, 1/2 + it) on each point set (xs, ys) in turn, shaped ``np.shape(t) + xs.shape``.
+
+    xi(1 + 2it), phi(t) and lam_t are computed once for all sets; each set
+    takes the Fourier length, lam_t prefix and Bessel grids of its own
+    lowest point, and issues at most one ``FourierTruncationWarning``.
+    """
+    ts = np.asarray(t, dtype=float)
+    flat_ts = [_check_t(v) for v in ts.ravel()]
+    lowest = min(float(ys.min()) for _, ys in sets)
+    factors = [(*_xi_phi(v), _divisor_lambdas(_auto_n_fourier(lowest, v), v)) for v in flat_ts]
+    for xs, ys in sets:
+        y_min = float(ys.min())
+        sqrt_y = np.sqrt(ys)
+        logy = np.log(ys)
+        n_fs = np.array([_auto_n_fourier(y_min, v) for v in flat_ts])
+        out = np.empty((len(flat_ts),) + xs.shape, dtype=complex)
+        worst_omitted = 0.0
+        for n_f in np.unique(n_fs).tolist():
+            idx = np.flatnonzero(n_fs == n_f)
+            ns = np.arange(1, n_f + 1, dtype=float)
+            with warnings.catch_warnings():
+                # arguments beyond 700 belong to atoms high in the cusp whose
+                # Fourier terms are exact zeros at double precision
+                warnings.simplefilter("ignore", UnderflowWarning)
+                kbs = bessel_k_imag_many([flat_ts[i] for i in idx],
+                                         2.0 * math.pi * np.multiply.outer(ns, ys))
+            cos_nx = np.cos(2.0 * math.pi * np.outer(ns, xs))
+            for i, kb in zip(idx, kbs):
+                t = flat_ts[i]
+                xi_2s, phi, lam = factors[i]
+                lam = lam[:n_f]
+                val = sqrt_y * (np.exp(1j * t * logy) + phi * np.exp(-1j * t * logy))
+                fourier = (lam[:, None] * kb * cos_nx).sum(axis=0)
+                val = val + (4.0 / xi_2s) * sqrt_y * fourier
+                out[i] = val
+
+                # estimate the first omitted term from the last included one: in the
+                # exponential regime each n-step loses a factor ~e^{-2 pi y_min}
+                last = 4.0 / abs(xi_2s) * float((sqrt_y * np.abs(lam[-1] * kb[-1])).max())
+                omitted = last * math.exp(-2.0 * math.pi * y_min)
+                if omitted > 1e-12 * float(np.abs(val).max() + 1e-300):
+                    worst_omitted = max(worst_omitted, omitted)
+        if worst_omitted > 0.0:
+            warnings.warn(
+                f"first omitted Fourier term ~{worst_omitted:.2e} exceeds 1e-12 of the value",
+                FourierTruncationWarning, stacklevel=3,
+            )
+        yield out.reshape(ts.shape + xs.shape)
+
+
 def eisenstein_eval_many(xs: np.ndarray, ys: np.ndarray, t) -> np.ndarray:
     """E(z, 1/2 + it) at an array of points for a scalar or an array of t.
 
@@ -114,47 +166,7 @@ def eisenstein_eval_many(xs: np.ndarray, ys: np.ndarray, t) -> np.ndarray:
     call issues at most one ``FourierTruncationWarning``, for its largest
     omitted-term estimate.
     """
-    ts = np.asarray(t, dtype=float)
-    flat_ts = [_check_t(v) for v in ts.ravel()]
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    y_min = float(ys.min())
-    sqrt_y = np.sqrt(ys)
-    logy = np.log(ys)
-    n_fs = np.array([_auto_n_fourier(y_min, v) for v in flat_ts])
-    out = np.empty((len(flat_ts),) + xs.shape, dtype=complex)
-    worst_omitted = 0.0
-    for n_f in np.unique(n_fs).tolist():
-        idx = np.flatnonzero(n_fs == n_f)
-        ns = np.arange(1, n_f + 1, dtype=float)
-        with warnings.catch_warnings():
-            # arguments beyond 700 belong to atoms high in the cusp whose
-            # Fourier terms are exact zeros at double precision
-            warnings.simplefilter("ignore", UnderflowWarning)
-            kbs = bessel_k_imag_many([flat_ts[i] for i in idx],
-                                     2.0 * math.pi * np.multiply.outer(ns, ys))
-        cos_nx = np.cos(2.0 * math.pi * np.outer(ns, xs))
-        for i, kb in zip(idx, kbs):
-            t = flat_ts[i]
-            xi_2s, phi = _xi_phi(t)
-            val = sqrt_y * (np.exp(1j * t * logy) + phi * np.exp(-1j * t * logy))
-            lam = _divisor_lambdas(n_f, t)
-            fourier = (lam[:, None] * kb * cos_nx).sum(axis=0)
-            val = val + (4.0 / xi_2s) * sqrt_y * fourier
-            out[i] = val
-
-            # estimate the first omitted term from the last included one: in the
-            # exponential regime each n-step loses a factor ~e^{-2 pi y_min}
-            last = 4.0 / abs(xi_2s) * float((sqrt_y * np.abs(lam[-1] * kb[-1])).max())
-            omitted = last * math.exp(-2.0 * math.pi * y_min)
-            if omitted > 1e-12 * float(np.abs(val).max() + 1e-300):
-                worst_omitted = max(worst_omitted, omitted)
-    if worst_omitted > 0.0:
-        warnings.warn(
-            f"first omitted Fourier term ~{worst_omitted:.2e} exceeds 1e-12 of the value",
-            FourierTruncationWarning, stacklevel=2,
-        )
-    return out.reshape(ts.shape + xs.shape)
+    return next(_eval_sets([(np.asarray(xs, dtype=float), np.asarray(ys, dtype=float))], t))
 
 
 def eisenstein_eval(z, t: float) -> complex:
@@ -162,9 +174,15 @@ def eisenstein_eval(z, t: float) -> complex:
     return complex(eisenstein_eval_many(np.array([z.x]), np.array([z.y]), t)[0])
 
 
+def weyl_sums_empirical(measures: list[DiscreteMeasure], t) -> list[np.ndarray]:
+    """Integrals of E(., 1/2 + it) against each discrete measure, each shaped like t."""
+    sets = _eval_sets([(m.xs, m.ys) for m in measures], t)
+    return [(m.weights * e).sum(axis=-1) for m, e in zip(measures, sets)]
+
+
 def weyl_sum_empirical(m: DiscreteMeasure, t) -> np.ndarray:
     """Integrals of E(., 1/2 + it) against a discrete measure, shaped like t."""
-    return (m.weights * eisenstein_eval_many(m.xs, m.ys, t)).sum(axis=-1)
+    return weyl_sums_empirical([m], t)[0]
 
 
 def _abs_sq(w) -> np.ndarray:
@@ -173,20 +191,21 @@ def _abs_sq(w) -> np.ndarray:
     return np.reshape([abs(v) ** 2 for v in np.ravel(w).tolist()], np.shape(w))
 
 
-def weyl_sum_exact_sq(D: int, t: float) -> float:
-    """Exact squared Weyl sum |int E dnu_D|^2 from the L-function identity.
+def weyl_sum_exact_sq(D: int, t) -> np.ndarray:
+    """Exact squared Weyl sums |int E dnu_D|^2 from the L-function identity, shaped like t.
 
     Equals H_{sgn D}(t) / (4 sqrt|D| L(1, chi_D)^2) times
     |zeta(1/2+it) L(1/2+it, chi_D) / zeta(1+2it)|^2; nonnegative, even in t.
     """
     require_fundamental(D)
-    t = _check_t(t)
-    H = h_minus(t) if D < 0 else h_plus(t)
     L1 = dirichlet_l(1.0, D).real
-    s = complex(0.5, t)
-    num = riemann_zeta(s) * dirichlet_l(s, D)
-    den = riemann_zeta(complex(1.0, 2.0 * t))
-    return H / (4.0 * math.sqrt(abs(D)) * L1 * L1) * abs(num / den) ** 2
+    scale = 4.0 * math.sqrt(abs(D)) * L1 * L1
+    # one Python scalar abs(...) ** 2 per t, as _abs_sq does
+    sq = [(h_minus(v) if D < 0 else h_plus(v)) / scale
+          * abs(riemann_zeta(complex(0.5, v)) * dirichlet_l(complex(0.5, v), D)
+                / riemann_zeta(complex(1.0, 2.0 * v))) ** 2
+          for v in map(_check_t, np.ravel(t).tolist())]
+    return np.reshape(sq, np.shape(t))
 
 
 @dataclass(frozen=True)
@@ -206,7 +225,7 @@ def weyl_compare(D: int, t, samples_per_unit_length: int = 200) -> WeylCompariso
     """
     m = heegner_measure(D) if D < 0 else geodesic_measure(D, samples_per_unit_length)
     emp = _abs_sq(weyl_sum_empirical(m, t))
-    exact = np.reshape([weyl_sum_exact_sq(D, v) for v in np.ravel(t).tolist()], np.shape(t))
+    exact = weyl_sum_exact_sq(D, t)
     return WeylComparison(empirical_sq=emp, exact_sq=exact, ratio=emp / exact)
 
 
@@ -274,7 +293,7 @@ def berry_esseen_rhs_many(
 
     t_max = max(3.0 * T, 15.0)
     nodes, wts = gl_panels(0.0, t_max, *_T_QUAD)
-    ref_sums = weyl_sum_empirical(reference, nodes)
+    *sums, ref_sums = weyl_sums_empirical([*measures, reference], nodes)
     weight = np.exp(-(nodes**2) / (T * T)) / (0.25 + nodes**2)
 
     partial = data is None or len(data.t_f) == 0
@@ -288,8 +307,8 @@ def berry_esseen_rhs_many(
 
     leading = 1.0 / T
     bounds = []
-    for m in measures:
-        sq = _abs_sq(weyl_sum_empirical(m, nodes) - ref_sums)
+    for m_sums in sums:
+        sq = _abs_sq(m_sums - ref_sums)
         # even integrand: both half-lines
         eis = float(2.0 * (wts * weight * sq).sum() / (4.0 * math.pi))
 

@@ -436,14 +436,24 @@ def dual_lower_bound(m1: DiscreteMeasure, m2: DiscreteMeasure,
 
     By Kantorovich-Rubinstein duality it never exceeds the exact distance.
     """
-    v1 = float((m1.weights * F(m1.xs, m1.ys)).sum())
-    v2 = float((m2.weights * F(m2.xs, m2.ys)).sum())
-    return abs(v1 - v2)
+    return abs(_integral(m1, F) - _integral(m2, F))
+
+
+def _integral(m: DiscreteMeasure, F: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> float:
+    return float((m.weights * F(m.xs, m.ys)).sum())
+
+
+def best_dual_lower_bound_many(measures: list[DiscreteMeasure],
+                               reference: DiscreteMeasure) -> list[float]:
+    """Best KR lower bound over DEFAULT_DUAL_FAMILY from each measure to one reference."""
+    refs = [_integral(reference, F) for F in DEFAULT_DUAL_FAMILY]
+    return [max(abs(_integral(m, F) - r) for F, r in zip(DEFAULT_DUAL_FAMILY, refs))
+            for m in measures]
 
 
 def best_dual_lower_bound(m1: DiscreteMeasure, m2: DiscreteMeasure) -> float:
-    """Best KR lower bound over the functions of DEFAULT_DUAL_FAMILY."""
-    return max(dual_lower_bound(m1, m2, F) for F in DEFAULT_DUAL_FAMILY)
+    """The bound of ``best_dual_lower_bound_many`` for the single pair (m1, m2)."""
+    return best_dual_lower_bound_many([m1], m2)[0]
 
 
 # ---------------------------------------------------------------------------

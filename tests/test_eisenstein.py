@@ -1,6 +1,7 @@
 """Tests for Eisenstein evaluation, Weyl sums, and the spectral bound."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -29,6 +30,8 @@ from modsurf.eisenstein import (
 )
 from modsurf.hypgeo import GEN_S, GEN_T, Point, mobius_apply
 from modsurf.specfun import dirichlet_l, h_minus, riemann_zeta
+
+DEFAULT_DUKE_DISCRIMINANTS = (-7, -8, -11, -15, -20, -23, -24)
 
 # frozen from the completed-zeta quotient at 40 digits
 PHI_AT_1 = 0.5231271516943812 - 0.8522546468985217j
@@ -282,6 +285,17 @@ class TestBatchedT:
         weyl_compare(5, ts, samples_per_unit_length=50)
         assert builds == [(-7,), (5, 50)]
 
+    def test_weyl_compare_one_l1_per_discriminant(self, monkeypatch):
+        calls = []
+        l_fn = eisenstein.dirichlet_l
+        monkeypatch.setattr(eisenstein, "dirichlet_l",
+                            lambda s, D: calls.append((s, D)) or l_fn(s, D))
+        ts = np.array([0.5, -1.5, 3.0])
+        for D in (-7, 5):
+            weyl_compare(D, ts, samples_per_unit_length=50)
+        assert [c for c in calls if c[0] == 1] == [(1.0, -7), (1.0, 5)]
+        assert len(calls) == 2 * (1 + len(ts))
+
     def test_one_zeta_per_t(self, monkeypatch):
         # xi(1 + 2it) and phi(t) come from one log xi
         calls = []
@@ -297,6 +311,33 @@ class TestBatchedT:
         data = MaassData(np.array([9.533]), np.array([0.01]))
         many = berry_esseen_rhs_many(ms, grid, 2.0, data)
         assert many == [berry_esseen_rhs(m, grid, 2.0, data) for m in ms]
+
+    @pytest.mark.parametrize("n_measures", [1, 7])
+    def test_rhs_many_one_zeta_per_t_node(self, monkeypatch, n_measures):
+        # xi(1 + 2it) and phi(t) are shared by the reference and every measure
+        calls = []
+        zeta = eisenstein.riemann_zeta
+        monkeypatch.setattr(eisenstein, "riemann_zeta", lambda s: calls.append(s) or zeta(s))
+        ms = [heegner_measure(D) for D in DEFAULT_DUKE_DISCRIMINANTS[:n_measures]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", PartialBoundWarning)
+            berry_esseen_rhs_many(ms, haar_discretization(8, 6, 10.0), 1.0)
+        assert len(calls) == len(set(calls)) == 12 * 16 == math.prod(eisenstein._T_QUAD)
+
+    def test_rhs_many_peak_memory_bounded(self):
+        # the default duke run; forming the (t, Fourier term, point) product
+        # in one array instead of one t at a time takes about 55 MB
+        grid = haar_discretization(40, 30, 20.0)
+        ms = [heegner_measure(D) for D in DEFAULT_DUKE_DISCRIMINANTS]
+        tracemalloc.start()
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", PartialBoundWarning)
+                berry_esseen_rhs_many(ms, grid, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48e6
 
     def test_truncation_warning_reaches_caller(self, monkeypatch):
         grid = haar_discretization(8, 6, 10.0)

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from modsurf import hypgeo as hg
 from modsurf import transport
-from modsurf.arithmetic import DiscreteMeasure, heegner_measure, load_measure
+from modsurf.arithmetic import (DiscreteMeasure, geodesic_measure, haar_discretization,
+                                heegner_measure, load_measure)
 from modsurf.hypgeo import Point
 from modsurf.transport import (
     DEFAULT_DUAL_FAMILY,
@@ -20,6 +21,7 @@ from modsurf.transport import (
     _northwest_basis,
     _sinkhorn_plan_cost,
     best_dual_lower_bound,
+    best_dual_lower_bound_many,
     clipped_distance,
     cost_matrix,
     dual_lower_bound,
@@ -493,6 +495,21 @@ class TestDualBounds:
             if b >= 0.95 * v:
                 hits += 1
         assert hits >= 5  # clipped distances from the site list are often tight
+
+    def test_many_equals_pairwise_with_one_reference_pass(self, monkeypatch):
+        grid = haar_discretization(12, 10, 10.0)
+        ms = [heegner_measure(-7), heegner_measure(-23), geodesic_measure(5, 20)]
+        pairwise = [best_dual_lower_bound(m, grid) for m in ms]
+        assert pairwise == [max(dual_lower_bound(m, grid, F) for F in DEFAULT_DUAL_FAMILY)
+                            for m in ms]
+        calls = []
+        family = [lambda xs, ys, i=i, F=F: calls.append((i, xs is grid.xs)) or F(xs, ys)
+                  for i, F in enumerate(DEFAULT_DUAL_FAMILY)]
+        monkeypatch.setattr(transport, "DEFAULT_DUAL_FAMILY", family)
+        assert best_dual_lower_bound_many(ms, grid) == pairwise
+        # each family function meets the reference once and each measure once
+        assert sorted(i for i, on_ref in calls if on_ref) == list(range(len(family)))
+        assert len(calls) == len(family) * (1 + len(ms))
 
     def test_lipschitz_quotient_invariant(self):
         rng = np.random.default_rng(39)
