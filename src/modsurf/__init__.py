@@ -66,6 +66,7 @@ from .transform import (
     k_kernel_spectral,
     mollifier_k_eps,
     smooth,
+    smooth_with_gradient,
 )
 from .transport import (
     CostMatrix,

@@ -398,18 +398,13 @@ def cmd_mollify_check(cfg: ExperimentConfig, args):
     pts = _mollify_points(cfg.seed)
     rows = []
     all_ok = True
+    fzs = F(np.array([z.x for z in pts]), np.array([z.y for z in pts])).tolist()
     for eps in cfg.eps_list:
         sup_err = 0.0
         grad_worst = 0.0
-        for z in pts:
-            fz = float(F(np.array([z.x]), np.array([z.y]))[0])
-            fe = transform.smooth(F, eps, z)
+        for z, fz in zip(pts, fzs):
+            fe, dfx, dfy = transform.smooth_with_gradient(F, eps, z)
             sup_err = max(sup_err, abs(fz - fe))
-            h = 1e-3
-            dfx = (transform.smooth(F, eps, Point(z.x + h, z.y))
-                   - transform.smooth(F, eps, Point(z.x - h, z.y))) / (2 * h)
-            dfy = (transform.smooth(F, eps, Point(z.x, z.y + h))
-                   - transform.smooth(F, eps, Point(z.x, z.y - h))) / (2 * h)
             grad_worst = max(grad_worst, z.y**2 * 0.25 * (dfx**2 + dfy**2))
         bound = (math.exp(eps) - 0.5) ** 2 + 1e-3
         ok_sup = sup_err <= eps

@@ -366,9 +366,9 @@ def kernel_mass_on_surface(
 # Mollifier and smoothing operator
 
 _C_UNIT_INTEGRAL_NODES = (8, 24)
-# smooth's polar patch: Gauss-Legendre nodes per radial panel (4 panels) and
-# midpoint angles
-_SMOOTH_Q_NODES = 24
+# smooth_with_gradient's polar patch: Gauss-Legendre (panels, nodes per panel)
+# in q and midpoint angles
+_SMOOTH_Q_NODES = (4, 24)
 _SMOOTH_THETAS = 64
 
 
@@ -401,16 +401,19 @@ def mollifier_k_eps(u: float | np.ndarray, eps: float) -> float | np.ndarray:
     return out if u.ndim else float(out[0])
 
 
-def smooth(F, eps: float, z: Point) -> float:
-    """Mollified value F_eps(z) = int F(w) k_eps(u(z, w)) dmu(w).
+def smooth_with_gradient(F, eps: float, z: Point) -> tuple[float, float, float]:
+    """Mollified value F_eps(z) = int F(w) k_eps(u(z, w)) dmu(w) and its gradient in (x, y).
 
     Geodesic polar quadrature centred at z with the substitution u =
     sinh^2(eps/2) q^2, whose integrand profile is independent of eps; F
-    must accept coordinate arrays (xs, ys).  For 1-Lipschitz automorphic F
-    the result is within eps of F(z).
+    must accept coordinate arrays (xs, ys) and is evaluated once.  For
+    1-Lipschitz automorphic F the value is within eps of F(z).  The
+    gradient differentiates the kernel with the samples w = a + ib held:
+    int F(w) k_eps'(u) grad_z u dmu(w), with k_eps' = k_eps * -2uS^2/(u^2 - S^2)^2,
+    du/dx = (x - a)/(2yb) and du/dy = (y - b)/(2yb) - u/y.
     """
     S = math.sinh(0.5 * eps) ** 2
-    q, wq = gl_panels(0.0, 1.0, 4, _SMOOTH_Q_NODES)
+    q, wq = gl_panels(0.0, 1.0, *_SMOOTH_Q_NODES)
     theta = (np.arange(_SMOOTH_THETAS) + 0.5) * (2.0 * math.pi / _SMOOTH_THETAS)
     u = S * q * q
     kvals = mollifier_k_eps(u, eps)
@@ -420,4 +423,14 @@ def smooth(F, eps: float, z: Point) -> float:
     wy = z.y * py
     vals = F(wx.ravel(), wy.ravel()).reshape(wx.shape)
     radial = wq * kvals * 4.0 * S * q  # includes du = 2 S q dq and the polar factor 2
-    return float((radial[:, None] * vals).sum() * (2.0 * math.pi / _SMOOTH_THETAS))
+    dtheta = 2.0 * math.pi / _SMOOTH_THETAS
+    fe = float((radial[:, None] * vals).sum() * dtheta)
+    dvals = (radial * (-2.0 * u * S * S / (u * u - S * S) ** 2))[:, None] * vals
+    du_dx = (z.x - wx) / (2.0 * z.y * wy)
+    du_dy = (z.y - wy) / (2.0 * z.y * wy) - u[:, None] / z.y
+    return fe, float((dvals * du_dx).sum() * dtheta), float((dvals * du_dy).sum() * dtheta)
+
+
+def smooth(F, eps: float, z: Point) -> float:
+    """Mollified value F_eps(z); the value of ``smooth_with_gradient``."""
+    return smooth_with_gradient(F, eps, z)[0]

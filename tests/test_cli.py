@@ -246,6 +246,16 @@ class TestMollifyCheck:
         assert run(["mollify-check", "--out", str(out)], tmp_path, monkeypatch) == 0
         assert out.read_bytes() == (DATA / "mollify_check_seed0.csv").read_bytes()
 
+    def test_one_quadrature_per_point_and_eps(self, tmp_path, monkeypatch):
+        # value and gradient come from one quadrature: 50 points x 2 default eps
+        calls = []
+        quadrature = cli.transform.smooth_with_gradient
+        monkeypatch.setattr(cli.transform, "smooth_with_gradient",
+                            lambda *a: calls.append(a) or quadrature(*a))
+        monkeypatch.setattr(cli.transform, "smooth", lambda *a: pytest.fail("smooth called"))
+        assert run(["mollify-check"], tmp_path, monkeypatch) == 0
+        assert len(calls) == 100
+
 
 class TestDuke:
     def test_two_discriminants(self, tmp_path, monkeypatch):

@@ -19,6 +19,7 @@ from modsurf.transform import (
     kernel_mass_integral,
     mollifier_k_eps,
     smooth,
+    smooth_with_gradient,
 )
 
 from oracles import brute_force_ball_tiles, full_grid_kernel_mass, quad_inner_sine
@@ -253,6 +254,73 @@ class TestSmooth:
             dfy = (smooth(F, eps, Point(z.x, z.y + h))
                    - smooth(F, eps, Point(z.x, z.y - h))) / (2 * h)
             assert z.y**2 * 0.25 * (dfx**2 + dfy**2) <= bound
+
+
+class TestSmoothWithGradient:
+    # the point of mollify-check's largest grad_sq at seed 0, at both eps
+    WORST = Point(0.12021345201537781, 4.914324994586312)
+
+    @staticmethod
+    def _gradient(F, eps, z):
+        return np.array(smooth_with_gradient(F, eps, z)[1:])
+
+    @staticmethod
+    def _central_differences(F, eps, z, h=1e-3):
+        return np.array([
+            smooth(F, eps, Point(z.x + h, z.y)) - smooth(F, eps, Point(z.x - h, z.y)),
+            smooth(F, eps, Point(z.x, z.y + h)) - smooth(F, eps, Point(z.x, z.y - h)),
+        ]) / (2 * h)
+
+    @staticmethod
+    def _grad_sq(z, g):
+        # the figure mollify-check reports
+        return z.y**2 * 0.25 * float(g @ g)
+
+    def test_constant_function(self):
+        F = lambda xs, ys: np.full_like(xs, 3.25)
+        for eps in (0.2, 0.05):
+            fe, dfx, dfy = smooth_with_gradient(F, eps, Point(0.1, 1.3))
+            assert abs(fe - 3.25) < 1e-9
+            assert abs(dfx) < 1e-12 and abs(dfy) < 1e-12
+
+    def test_value_is_smooth(self):
+        from modsurf.transport import clipped_distance
+
+        F = clipped_distance(Point(0, 2), 3.0)
+        for z in (Point(0.1, 1.3), self.WORST):
+            for eps in (0.2, 0.05):
+                assert smooth_with_gradient(F, eps, z)[0] == smooth(F, eps, z)
+
+    def test_matches_central_differences(self):
+        from modsurf.transport import clipped_distance
+
+        F = clipped_distance(Point(0, 2), 3.0)
+        for eps in (0.2, 0.05):
+            # F is smooth on these patches, so the gradient vectors agree
+            for z in (Point(0.1, 1.3), Point(0.23, 1.32)):
+                g = self._gradient(F, eps, z)
+                fd = self._central_differences(F, eps, z)
+                assert np.linalg.norm(g - fd) <= 2e-5 * np.linalg.norm(g)
+            # at mollify-check's worst point, the figure it reports
+            z = self.WORST
+            closed = self._grad_sq(z, self._gradient(F, eps, z))
+            assert abs(closed - self._grad_sq(z, self._central_differences(F, eps, z))) <= 2e-5 * closed
+
+    def test_gradient_converges_under_refinement(self, monkeypatch):
+        from modsurf.transport import clipped_distance
+
+        F = clipped_distance(Point(0, 2), 3.0)
+        z = self.WORST
+        # limits on the last two levels' difference and on the default nodes' relative error
+        for eps, last, default in ((0.2, 5e-8, 1.1e-5), (0.05, 1e-12, 5e-8)):
+            levels = []
+            for panels, thetas in ((4, 64), (8, 128), (16, 256), (32, 512)):
+                monkeypatch.setattr(tr, "_SMOOTH_Q_NODES", (panels, 24))
+                monkeypatch.setattr(tr, "_SMOOTH_THETAS", thetas)
+                levels.append(self._grad_sq(z, self._gradient(F, eps, z)))
+            assert abs(levels[-1] - levels[-2]) <= last
+            # the README's quadrature error of grad_sq at the default nodes
+            assert abs(levels[0] - levels[-1]) <= default * levels[-1]
 
 
 class TestTruncationGuard:

@@ -503,13 +503,25 @@ class TestDualBounds:
         assert pairwise == [max(dual_lower_bound(m, grid, F) for F in DEFAULT_DUAL_FAMILY)
                             for m in ms]
         calls = []
-        family = [lambda xs, ys, i=i, F=F: calls.append((i, xs is grid.xs)) or F(xs, ys)
+        family = [lambda xs, ys, i=i, F=F: calls.append((i, len(xs))) or F(xs, ys)
                   for i, F in enumerate(DEFAULT_DUAL_FAMILY)]
         monkeypatch.setattr(transport, "DEFAULT_DUAL_FAMILY", family)
         assert best_dual_lower_bound_many(ms, grid) == pairwise
-        # each family function meets the reference once and each measure once
-        assert sorted(i for i, on_ref in calls if on_ref) == list(range(len(family)))
-        assert len(calls) == len(family) * (1 + len(ms))
+        # each family function meets the reference and all measures in one call
+        atoms = len(grid) + sum(len(m) for m in ms)
+        assert calls == [(i, atoms) for i in range(len(family))]
+
+    def test_many_equals_pair_form_on_mixed_measures(self):
+        # F acts atom by atom, so evaluating it on the measures' atoms taken
+        # together changes no bit of any measure's integral
+        ms = [heegner_measure(D) for D in (-3, -4, -15, -23, -47)]
+        ms += [geodesic_measure(D, 10) for D in (5, 8, 13)]
+        for reference in (haar_discretization(8, 6, 6.0), geodesic_measure(12, 10)):
+            many = best_dual_lower_bound_many(ms, reference)
+            assert many == [best_dual_lower_bound(m, reference) for m in ms]
+            assert many == [max(dual_lower_bound(m, reference, F) for F in DEFAULT_DUAL_FAMILY)
+                            for m in ms]
+        assert best_dual_lower_bound_many([], ms[0]) == []
 
     def test_lipschitz_quotient_invariant(self):
         rng = np.random.default_rng(39)
