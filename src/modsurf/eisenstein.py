@@ -19,12 +19,16 @@ and lam_t(n) are computed once per call, for every point set of the call.
 
 Empirical Weyl sums integrate E against several discrete measures for an
 array of t; the exact squared Weyl sums for Heegner/geodesic measures come
-out of the class number formula with the gamma factors H_-/H_+, and the two
-routes are compared by `weyl_compare`.  `berry_esseen_rhs_many` assembles
-the spectral upper bound for the Wasserstein distance from several measures
-to one reference, all of whose Weyl sums at the t-nodes of `_T_QUAD` come
-from one call; the cuspidal contribution is supplied as external data, and
-a bound without it is flagged by `PartialBoundWarning`.
+out of the class number formula with the gamma factors H_-/H_+, one array
+call per L-function over all t, and the two routes are compared by
+`weyl_compare`.  `berry_esseen_rhs_many` assembles the spectral upper bound
+for the Wasserstein distance from several measures to one reference, all of
+whose Weyl sums at the t-nodes of `_T_QUAD` come from one call.  Without a
+reference it bounds the distance to exact Haar measure, whose Weyl sums
+vanish, so only the measures' own atoms are evaluated; each bound keeps
+its |Delta E|^2 at the nodes for a cross-check against the exact formula.
+The cuspidal contribution is supplied as external data, and a bound
+without it is flagged by `PartialBoundWarning`.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import loggamma
@@ -200,11 +204,12 @@ def weyl_sum_exact_sq(D: int, t) -> np.ndarray:
     require_fundamental(D)
     L1 = dirichlet_l(1.0, D).real
     scale = 4.0 * math.sqrt(abs(D)) * L1 * L1
-    # one Python scalar abs(...) ** 2 per t, as _abs_sq does
-    sq = [(h_minus(v) if D < 0 else h_plus(v)) / scale
-          * abs(riemann_zeta(complex(0.5, v)) * dirichlet_l(complex(0.5, v), D)
-                / riemann_zeta(complex(1.0, 2.0 * v))) ** 2
-          for v in map(_check_t, np.ravel(t).tolist())]
+    ts = np.array([_check_t(v) for v in np.ravel(t).tolist()])
+    s = 0.5 + 1j * ts
+    # one array call per L-function, then Python scalar arithmetic per t, as _abs_sq does
+    sq = [(h_minus(v) if D < 0 else h_plus(v)) / scale * abs(z * l / z2) ** 2
+          for v, z, l, z2 in zip(ts.tolist(), riemann_zeta(s).tolist(),
+                                 dirichlet_l(s, D).tolist(), riemann_zeta(2.0 * s).tolist())]
     return np.reshape(sq, np.shape(t))
 
 
@@ -235,7 +240,11 @@ def weyl_compare(D: int, t, samples_per_unit_length: int = 200) -> WeylCompariso
 
 @dataclass(frozen=True)
 class MaassData:
-    """Rows (t_f, squared Weyl-sum difference) for the cuspidal spectrum."""
+    """Rows (t_f, squared Weyl-sum difference) for the cuspidal spectrum.
+
+    ``weyl_sq_diff`` is |<u_f, mu_1 - mu_2>|^2 for the pair being bounded;
+    against Haar measure (no reference) it is the measure's own |<u_f, mu>|^2.
+    """
 
     t_f: np.ndarray
     weyl_sq_diff: np.ndarray
@@ -261,7 +270,12 @@ class MaassData:
 
 @dataclass(frozen=True)
 class BerryEsseenBound:
-    """Evaluated right-hand side of the Wasserstein Berry-Esseen inequality."""
+    """Evaluated right-hand side of the Wasserstein Berry-Esseen inequality.
+
+    ``weyl_sq`` is the integrand's |Delta E(t)|^2 at the quadrature nodes
+    ``t_nodes``; against Haar measure it is the measure's own squared Weyl
+    sum, which ``weyl_sum_exact_sq`` gives in closed form.
+    """
 
     leading_term: float
     eisenstein_term: float
@@ -269,18 +283,24 @@ class BerryEsseenBound:
     total: float
     eisenstein_tail_bound: float
     is_partial: bool
+    t_nodes: np.ndarray = field(compare=False, repr=False)
+    weyl_sq: np.ndarray = field(compare=False, repr=False)
 
 
 def berry_esseen_rhs_many(
     measures: list[DiscreteMeasure],
-    reference: DiscreteMeasure,
+    reference: DiscreteMeasure | None,
     T: float,
     data: MaassData | None = None,
 ) -> list[BerryEsseenBound]:
     """Spectral upper bound 1/T + sqrt(mu) sqrt(cuspidal + eisenstein) per measure.
 
     Each bound compares one of ``measures`` with ``reference``, whose Weyl
-    sums are computed once for all of them.  The Eisenstein term is
+    sums are computed once for all of them.  ``reference=None`` stands for
+    exact Haar measure, whose Weyl sums vanish: against cusp forms by
+    orthogonality, and against E(., 1/2+it) because its integral over
+    {y <= Y} combines Y^{s-1} and phi(t) Y^{-s}, both -> 0 on Re s = 1/2.
+    E is then evaluated on the measures' atoms only.  The Eisenstein term is
     (1/4 pi) int e^{-t^2/T^2}/(1/4+t^2) |Delta E(t)|^2 dt over |t| <= t_max,
     t_max = max(3T, 15) (Gauss-Legendre panels; nodes avoid t = 0), with
     the Gaussian tail beyond t_max reported as an analytic bound rather
@@ -293,7 +313,8 @@ def berry_esseen_rhs_many(
 
     t_max = max(3.0 * T, 15.0)
     nodes, wts = gl_panels(0.0, t_max, *_T_QUAD)
-    *sums, ref_sums = weyl_sums_empirical([*measures, reference], nodes)
+    sums = weyl_sums_empirical(measures if reference is None else [*measures, reference], nodes)
+    ref_sums = 0.0 if reference is None else sums.pop()
     weight = np.exp(-(nodes**2) / (T * T)) / (0.25 + nodes**2)
 
     partial = data is None or len(data.t_f) == 0
@@ -326,6 +347,8 @@ def berry_esseen_rhs_many(
             total=total,
             eisenstein_tail_bound=tail,
             is_partial=partial,
+            t_nodes=nodes,
+            weyl_sq=sq,
         ))
     return bounds
 

@@ -50,33 +50,50 @@ _B2J = [
 _B2J_FACT = np.array([float(b) / math.factorial(2 * j) for j, b in enumerate(_B2J, 1)])
 
 
-def _hurwitz_many(s: complex, a: np.ndarray) -> np.ndarray:
-    """Euler-Maclaurin Hurwitz zeta for an array of shifts a in (0, 1]."""
-    s = complex(s)
-    if s == 1:
+def _hurwitz_many(s, a: np.ndarray) -> np.ndarray:
+    """Euler-Maclaurin Hurwitz zeta for an array of s and an array of shifts a in (0, 1].
+
+    The result has shape ``np.shape(s) + a.shape``.  Each s sums
+    max(25, ceil(1.2 |Im s|)) terms; the s values that share a term count
+    are evaluated together, each (s, a) summing its own contiguous row of
+    terms, so a value does not depend on the other s of the call.
+    """
+    s = np.asarray(s, dtype=complex)
+    if np.any(s == 1):
         raise PoleError("zeta pole at s = 1")
-    N = max(25, math.ceil(1.2 * abs(s.imag)))
     a = np.asarray(a, dtype=float)
-    k = np.arange(N, dtype=float)
-    base = k[:, None] + a[None, :]
-    head = np.exp(-s * np.log(base)).sum(axis=0)
-    z = N + a
-    logz = np.log(z)
-    zs = np.exp(-s * logz)
-    out = head + zs * z / (s - 1.0) + 0.5 * zs
-    # asymptotic tail: sum over j >= 1 of B_2j/(2j)! * (s)_{2j-1} * z^(-s-2j+1)
-    poch = s  # (s)_1
-    zpow = zs / z  # z^(-s-1)
-    z2 = z * z
-    for j in range(_EM_ORDER):
-        out += _B2J_FACT[j] * poch * zpow
-        poch *= (s + 2 * j + 1) * (s + 2 * j + 2)
-        zpow = zpow / z2
-    return out
+    flat = s.ravel()
+    n_terms = np.maximum(25, np.ceil(1.2 * np.abs(flat.imag))).astype(int)
+    out = np.empty((flat.size, a.size), dtype=complex)
+    two_j = 2.0 * np.arange(_EM_ORDER - 1)
+    for N in sorted(set(n_terms.tolist())):
+        idx = np.flatnonzero(n_terms == N)
+        sg = flat[idx, None]
+        base = a[:, None] + np.arange(N, dtype=float)
+        head = np.exp(-sg[..., None] * np.log(base)).sum(axis=-1)
+        z = N + a
+        zs = np.exp(-sg * np.log(z))
+        res = head + zs * z / (sg - 1.0) + 0.5 * zs
+        # asymptotic tail: sum over j >= 1 of B_2j/(2j)! * (s)_{2j-1} * z^(-s-2j+1),
+        # with (s)_1 = s and (s)_{2j+1} = (s)_{2j-1} (s + 2j - 1) (s + 2j)
+        poch = np.cumprod(np.hstack([sg, (sg + two_j + 1) * (sg + two_j + 2)]), axis=1)
+        coef = _B2J_FACT * poch
+        zpow = zs / z  # z^(-s-1)
+        z2 = z * z
+        for j in range(_EM_ORDER):
+            res += coef[:, j, None] * zpow
+            zpow = zpow / z2
+        out[idx] = res
+    return out.reshape(s.shape + a.shape)
 
 
-def hurwitz_zeta(s: complex, a: float) -> complex:
-    """Hurwitz zeta zeta(s, a) for 0 < a <= 1, s != 1.
+def _like(s, values: np.ndarray):
+    """values as a complex for scalar s, else as the array shaped like s."""
+    return complex(values) if np.ndim(s) == 0 else values
+
+
+def hurwitz_zeta(s, a: float):
+    """Hurwitz zeta zeta(s, a) for 0 < a <= 1, s != 1, for a scalar or an array of s.
 
     Euler-Maclaurin summation over max(25, 1.2 |Im s|) terms with
     ``_EM_ORDER`` correction terms; the relative error is below 1e-10 on
@@ -84,11 +101,11 @@ def hurwitz_zeta(s: complex, a: float) -> complex:
     """
     if not (0.0 < a <= 1.0):
         raise ValueError(f"shift a must lie in (0, 1], got {a}")
-    return complex(_hurwitz_many(s, np.array([a]))[0])
+    return _like(s, _hurwitz_many(s, np.array([a]))[..., 0])
 
 
-def riemann_zeta(s: complex) -> complex:
-    """Riemann zeta via Euler-Maclaurin; pole error at s = 1."""
+def riemann_zeta(s):
+    """Riemann zeta via Euler-Maclaurin, shaped like s; pole error at s = 1."""
     return hurwitz_zeta(s, 1.0)
 
 
@@ -156,23 +173,33 @@ def require_fundamental(D: int) -> None:
         raise ValueError(f"{D} is not a fundamental discriminant")
 
 
-def dirichlet_l(s: complex, D: int) -> complex:
-    """L(s, chi_D) for a fundamental discriminant D.
+def dirichlet_l(s, D: int):
+    """L(s, chi_D) for a fundamental discriminant D, for a scalar or an array of s.
 
     For s != 1 this is |D|^-s sum_a chi_D(a) zeta(s, a/|D|); at s = 1 the
     digamma formula L(1, chi) = -(1/q) sum_a chi(a) psi(a/q) is used, which
-    avoids the cancelling zeta poles.
+    avoids the cancelling zeta poles.  Each ``_hurwitz_many`` call takes
+    ``_L_BLOCK`` shifts, or all |D| of them with ``_L_BLOCK`` // |D| values of
+    s, so its arrays stay the size of a single s's, and every s is summed
+    as it would be alone.
     """
     require_fundamental(D)
     q = abs(D)
     a = np.arange(1, q + 1)
     chi = np.array([kronecker_symbol(D, int(x)) for x in a], dtype=float)
-    s = complex(s)
-    if s == 1:
-        return complex(-(chi * digamma(a / q)).sum() / q)
-    total = sum((chi[i:i + _L_BLOCK] * _hurwitz_many(s, a[i:i + _L_BLOCK] / q)).sum()
-                for i in range(0, q, _L_BLOCK))
-    return complex(np.exp(-s * math.log(q)) * total)
+    s = np.asarray(s, dtype=complex)
+    out = np.empty(s.shape, dtype=complex)
+    at_one = s == 1
+    if at_one.any():
+        out[at_one] = -(chi * digamma(a / q)).sum() / q
+    rest = s[~at_one]
+    if rest.size:
+        step = max(1, _L_BLOCK // q)  # s values per call
+        totals = [sum((chi[i:i + _L_BLOCK] * _hurwitz_many(rest[j:j + step], a[i:i + _L_BLOCK] / q))
+                      .sum(axis=-1) for i in range(0, q, _L_BLOCK))
+                  for j in range(0, rest.size, step)]
+        out[~at_one] = np.exp(-rest * math.log(q)) * np.concatenate(totals)
+    return _like(s, out)
 
 
 # ---------------------------------------------------------------------------

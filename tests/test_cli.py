@@ -387,7 +387,7 @@ HEADERS = {
     "class-number": "D,h_enumerated,h_formula,abs_diff,pass",
     "weyl-compare": "D,t,empirical_sq,exact_sq,ratio,pass",
     "duke": "D,W1_estimate,dual_lower_bound,discretization_bound,berry_esseen_total,"
-            "T_used,pass",
+            "weyl_exact_rel,T_used,pass",
     "mollify-check": "eps,sup_error,grad_sq,grad_bound,pass",
     "wasserstein": "file1,file2,W1",
 }

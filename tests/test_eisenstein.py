@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from modsurf import eisenstein
+from modsurf import cli, eisenstein
 from modsurf._gl import gl_panels
 from modsurf.arithmetic import (
     DiscreteMeasure,
@@ -286,15 +286,16 @@ class TestBatchedT:
         assert builds == [(-7,), (5, 50)]
 
     def test_weyl_compare_one_l1_per_discriminant(self, monkeypatch):
+        # L(1, chi_D) once, then L(1/2 + it, chi_D) for every t in one array call
         calls = []
         l_fn = eisenstein.dirichlet_l
         monkeypatch.setattr(eisenstein, "dirichlet_l",
-                            lambda s, D: calls.append((s, D)) or l_fn(s, D))
+                            lambda s, D: calls.append((s if np.ndim(s) == 0 else np.shape(s), D))
+                            or l_fn(s, D))
         ts = np.array([0.5, -1.5, 3.0])
         for D in (-7, 5):
             weyl_compare(D, ts, samples_per_unit_length=50)
-        assert [c for c in calls if c[0] == 1] == [(1.0, -7), (1.0, 5)]
-        assert len(calls) == 2 * (1 + len(ts))
+        assert calls == [(1.0, -7), (ts.shape, -7), (1.0, 5), (ts.shape, 5)]
 
     def test_one_zeta_per_t(self, monkeypatch):
         # xi(1 + 2it) and phi(t) come from one log xi
@@ -350,3 +351,87 @@ class TestBatchedT:
         with pytest.warns(PartialBoundWarning):
             bounds = berry_esseen_rhs_many([heegner_measure(-7)], heegner_measure(-8), 1.0)
         assert bounds[0].is_partial
+
+
+class TestHaarReference:
+    """berry_esseen_rhs_many without a reference bounds the distance to Haar measure."""
+
+    def test_default_duke_evaluates_only_the_measures_atoms(self, tmp_path, monkeypatch):
+        sets_seen, bessel_calls = [], []
+        eval_sets, bessel = eisenstein._eval_sets, eisenstein.bessel_k_imag_many
+
+        def recording_sets(sets, t):
+            sets_seen.extend(sets)
+            return eval_sets(sets, t)
+
+        def recording_bessel(tau, xs):
+            bessel_calls.append(xs)
+            return bessel(tau, xs)
+
+        monkeypatch.setattr(eisenstein, "_eval_sets", recording_sets)
+        monkeypatch.setattr(eisenstein, "bessel_k_imag_many", recording_bessel)
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["duke", "--out", "d.csv"]) == 0
+
+        measures = [heegner_measure(D) for D in DEFAULT_DUKE_DISCRIMINANTS]
+        atoms = {(x, y) for m in measures for x, y in zip(m.xs.tolist(), m.ys.tolist())}
+        grid = haar_discretization(40, 30, 20.0)
+        seen = [(x, y) for xs, ys in sets_seen for x, y in zip(xs.tolist(), ys.tolist())]
+        assert len(seen) == sum(len(m) for m in measures) == 12
+        assert set(seen) == atoms
+        assert not atoms & set(zip(grid.xs.tolist(), grid.ys.tolist()))
+        # each Bessel call takes one measure's atoms; its first row is 2 pi y
+        heights = np.array(sorted(y for _, y in atoms))
+        assert bessel_calls
+        for xs in bessel_calls:
+            assert xs.shape[-1] in {len(m) for m in measures}
+            ys = xs[0] / (2.0 * math.pi)
+            assert np.abs(heights[:, None] - ys).min(axis=0).max() <= 1e-14
+
+    @pytest.mark.parametrize("D", [-7, 5])
+    def test_eisenstein_term_is_the_exact_formula(self, D):
+        m = heegner_measure(D) if D < 0 else geodesic_measure(D, 200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", PartialBoundWarning)
+            b = berry_esseen_rhs_many([m], None, 1.0)[0]
+        # at T = 1 the t-integral runs over [0, 15] on the same Gauss-Legendre panels
+        nodes, wts = gl_panels(0.0, 15.0, 12, 16)
+        weight = np.exp(-(nodes**2)) / (0.25 + nodes**2)
+        exact = 2.0 * (wts * weight * weyl_sum_exact_sq(D, nodes)).sum() / (4.0 * math.pi)
+        assert abs(b.eisenstein_term - exact) <= 1e-7 * exact
+        assert np.array_equal(b.t_nodes, nodes)
+
+    @pytest.mark.parametrize("D", [-7, -23, -24, 5])
+    def test_tail_bound_covers_the_exact_formula_past_t_max(self, D):
+        m = heegner_measure(D) if D < 0 else geodesic_measure(D, 200)
+        for T in (1.0, 5.0, 8.0):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", PartialBoundWarning)
+                # at T = 8 the nodes reach t = 24, where the omitted-term
+                # estimate can pass 1e-12; the truncation is not checked here
+                warnings.simplefilter("ignore", FourierTruncationWarning)
+                b = berry_esseen_rhs_many([m], None, T)[0]
+            t_max = max(3.0 * T, 15.0)
+            nodes, wts = gl_panels(t_max, t_max + 30.0, 30, 16)
+            weight = np.exp(-((nodes / T) ** 2)) / (0.25 + nodes**2)
+            tail = 2.0 * (wts * weight * weyl_sum_exact_sq(D, nodes)).sum() / (4.0 * math.pi)
+            assert 0.0 < tail <= b.eisenstein_tail_bound, (T, tail, b.eisenstein_tail_bound)
+
+    def test_haar_reference_equals_a_zero_weyl_sum_reference(self, monkeypatch):
+        # against a reference whose Weyl sums are all zero, the bound is the same
+        ms = [heegner_measure(-7), geodesic_measure(5, 20)]
+        point = DiscreteMeasure(np.array([0.0]), np.array([1.0]), np.array([1.0]))
+        empirical = eisenstein.weyl_sums_empirical
+
+        def zero_reference(measures, t):
+            sums = empirical(measures, t)
+            return [np.zeros_like(s) if m is point else s for m, s in zip(measures, sums)]
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", PartialBoundWarning)
+            haar = berry_esseen_rhs_many(ms, None, 2.0)
+            monkeypatch.setattr(eisenstein, "weyl_sums_empirical", zero_reference)
+            zero = berry_esseen_rhs_many(ms, point, 2.0)
+        assert haar == zero
+        for h, z in zip(haar, zero):
+            assert np.array_equal(h.weyl_sq, z.weyl_sq)

@@ -178,6 +178,49 @@ class TestDirichletLBlocks:
         single = dirichlet_l(0.5 + 1j, self.D)
         assert abs(blocked[0] - single) <= 1e-13 * abs(single)
 
+    def test_s_array_peak_memory_bounded(self, blocked):
+        # an array of s takes the same shift blocks as a single s, one s per call
+        s = np.array([0.5 + 1j, 0.5 + 15j])
+        tracemalloc.start()
+        try:
+            values = dirichlet_l(s, self.D)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+        assert values[0] == blocked[0]
+
+
+class TestLFunctionArrays:
+    """riemann_zeta and dirichlet_l over an array of s, against one s at a time."""
+
+    S = 0.5 + 1j * np.linspace(0.1, 40.0, 200)
+
+    @pytest.mark.parametrize("D", [-4, -7, -23, 5, 8])
+    def test_dirichlet_l_array_equals_per_s(self, D):
+        many = dirichlet_l(self.S, D)
+        one = np.array([dirichlet_l(s, D) for s in self.S.tolist()])
+        assert many.shape == self.S.shape
+        assert np.all(np.abs(many - one) <= 1e-14 * np.abs(one))
+
+    def test_riemann_zeta_array_equals_per_s(self):
+        for s in (self.S, 2.0 * self.S):
+            many = riemann_zeta(s)
+            assert many.shape == s.shape
+            assert np.array_equal(many, [riemann_zeta(v) for v in s.tolist()])
+
+    def test_digamma_path_inside_an_array(self):
+        s = np.array([[1.0, 0.5 + 2j], [2.0, 1.0]])
+        values = dirichlet_l(s, -23)
+        assert values.shape == (2, 2)
+        assert values[0, 0] == values[1, 1] == dirichlet_l(1.0, -23)
+        assert values[1, 0] == dirichlet_l(2.0, -23)
+
+    def test_scalar_s_gives_a_complex(self):
+        assert type(riemann_zeta(2.0)) is complex
+        assert type(dirichlet_l(0.5 + 1j, -7)) is complex
+        assert type(dirichlet_l(1.0, -7)) is complex
+
 
 class TestBesselK:
     def test_frozen_values(self):
