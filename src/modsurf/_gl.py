@@ -14,19 +14,14 @@ def gl_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def gl_rule(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre rule mapped to [a, b]."""
-    x, w = gl_nodes(n)
-    half = 0.5 * (b - a)
-    return a + half * (x + 1.0), half * w
+def gl_panels(a: float, b, n_panels: int, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Composite Gauss-Legendre rule: `n_panels` equal panels on [a, b].
 
-
-def gl_panels(a: float, b: float, n_panels: int, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Composite Gauss-Legendre rule: `n_panels` equal panels on [a, b]."""
-    edges = np.linspace(a, b, n_panels + 1)
-    xs, ws = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        x, w = gl_rule(lo, hi, n_nodes)
-        xs.append(x)
-        ws.append(w)
-    return np.concatenate(xs), np.concatenate(ws)
+    For an array of upper ends b the nodes and weights have shape
+    ``np.shape(b) + (n_panels * n_nodes,)``, each row the rule of its own b.
+    """
+    x, w = gl_nodes(n_nodes)
+    edges = np.linspace(a, b, n_panels + 1, axis=-1)[..., None]
+    half = 0.5 * (edges[..., 1:, :] - edges[..., :-1, :])
+    shape = np.shape(b) + (-1,)
+    return (edges[..., :-1, :] + half * (x + 1.0)).reshape(shape), (half * w).reshape(shape)

@@ -33,7 +33,6 @@ without it is flagged by `PartialBoundWarning`.
 
 from __future__ import annotations
 
-import cmath
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -73,42 +72,47 @@ class PartialBoundWarning(UserWarning):
     """The Berry-Esseen bound was evaluated without its cuspidal part."""
 
 
-def _check_t(t: float) -> float:
-    t = float(t)
-    if abs(t) < _T_MIN:
+def _check_t(t) -> np.ndarray:
+    """The values of t as a flat float array; |t| below 1e-6 raises ValueError."""
+    ts = np.ravel(np.asarray(t, dtype=float))
+    if np.any(np.abs(ts) < _T_MIN):
         raise ValueError(f"|t| must be at least {_T_MIN}; the scattering quotient "
                          "is numerically delicate at t = 0")
-    return t
+    return ts
 
 
-def _xi_phi(t: float) -> tuple[complex, complex]:
+def _xi_phi(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(xi(1 + 2it), phi(t)) from one log xi; xi(s) = pi^{-s/2} Gamma(s/2) zeta(s).
 
     phi(t) = xi(1 - 2it)/xi(1 + 2it) has the conjugate of its denominator as
     numerator for real t, so it is the pure phase exp(-2i Im log xi(1 + 2it)).
     """
-    s = complex(1.0, 2.0 * t)
-    log_xi = -0.5 * s * math.log(math.pi) + loggamma(s / 2.0) + cmath.log(riemann_zeta(s))
-    return cmath.exp(log_xi), cmath.exp(1j * (-2.0 * log_xi.imag))
+    s = 1.0 + 2j * t
+    log_xi = -0.5 * s * math.log(math.pi) + loggamma(s / 2.0) + np.log(riemann_zeta(s))
+    return np.exp(log_xi), np.exp(1j * (-2.0 * log_xi.imag))
 
 
-def scattering_phi(t: float) -> complex:
-    """Scattering coefficient phi(1/2 + it); unimodular."""
-    return _xi_phi(_check_t(t))[1]
+def scattering_phi(t):
+    """Scattering coefficient phi(1/2 + it), shaped like t; unimodular."""
+    return _xi_phi(_check_t(t))[1].reshape(np.shape(t))[()]
 
 
-def _divisor_lambdas(n_max: int, t: float) -> np.ndarray:
-    """Real coefficients lam_t(n) = sum_{ad=n} (a/d)^{it} for n = 1..n_max."""
-    return np.array([sum(math.cos(t * math.log(n / (d * d)))
-                         for d in range(1, n + 1) if n % d == 0)
-                     for n in range(1, n_max + 1)])
+def _divisor_lambdas(n_max: int, t: np.ndarray) -> np.ndarray:
+    """lam_t(n) = sum_{ad=n} (a/d)^{it} for n = 1..n_max, shaped ``t.shape + (n_max,)``."""
+    d = np.repeat(np.arange(1, n_max + 1), n_max // np.arange(1, n_max + 1))
+    n = d * (np.arange(d.size) - np.searchsorted(d, d) + 1)  # the multiples of each d
+    out = np.zeros(t.shape + (n_max,))
+    # unbuffered, in the order of the pairs: each n adds its divisors d in ascending order
+    np.add.at(out, (..., n - 1), np.cos(np.multiply.outer(t, np.log(n / (d * d)))))
+    return out
 
 
-def _auto_n_fourier(y_min: float, t: float) -> int:
+def _auto_n_fourier(y_min: float, t: np.ndarray) -> np.ndarray:
     # past 2 pi n y > max(40, |t| + 15) the Bessel factor is in its
     # exponential regime and each further term drops by ~e^{-2 pi y};
     # one extra term keeps the omitted part below 1e-12 relative
-    return max(1, math.ceil(max(40.0, abs(t) + 15.0) / (2.0 * math.pi * y_min))) + 1
+    n = np.ceil(np.maximum(40.0, np.abs(t) + 15.0) / (2.0 * math.pi * y_min))
+    return np.maximum(1, n).astype(int) + 1
 
 
 def _eval_sets(sets, t):
@@ -118,16 +122,16 @@ def _eval_sets(sets, t):
     takes the Fourier length, lam_t prefix and Bessel grids of its own
     lowest point, and issues at most one ``FourierTruncationWarning``.
     """
-    ts = np.asarray(t, dtype=float)
-    flat_ts = [_check_t(v) for v in ts.ravel()]
+    ts = _check_t(t)
     lowest = min(float(ys.min()) for _, ys in sets)
-    factors = [(*_xi_phi(v), _divisor_lambdas(_auto_n_fourier(lowest, v), v)) for v in flat_ts]
+    xi_2s, phis = _xi_phi(ts)
+    lams = _divisor_lambdas(int(_auto_n_fourier(lowest, ts).max(initial=1)), ts)
     for xs, ys in sets:
         y_min = float(ys.min())
         sqrt_y = np.sqrt(ys)
         logy = np.log(ys)
-        n_fs = np.array([_auto_n_fourier(y_min, v) for v in flat_ts])
-        out = np.empty((len(flat_ts),) + xs.shape, dtype=complex)
+        n_fs = _auto_n_fourier(y_min, ts)
+        out = np.empty((ts.size,) + xs.shape, dtype=complex)
         worst_omitted = 0.0
         for n_f in np.unique(n_fs).tolist():
             idx = np.flatnonzero(n_fs == n_f)
@@ -136,21 +140,18 @@ def _eval_sets(sets, t):
                 # arguments beyond 700 belong to atoms high in the cusp whose
                 # Fourier terms are exact zeros at double precision
                 warnings.simplefilter("ignore", UnderflowWarning)
-                kbs = bessel_k_imag_many([flat_ts[i] for i in idx],
-                                         2.0 * math.pi * np.multiply.outer(ns, ys))
+                kbs = bessel_k_imag_many(ts[idx], 2.0 * math.pi * np.multiply.outer(ns, ys))
             cos_nx = np.cos(2.0 * math.pi * np.outer(ns, xs))
             for i, kb in zip(idx, kbs):
-                t = flat_ts[i]
-                xi_2s, phi, lam = factors[i]
-                lam = lam[:n_f]
-                val = sqrt_y * (np.exp(1j * t * logy) + phi * np.exp(-1j * t * logy))
+                xi_2s_i, lam = xi_2s[i], lams[i, :n_f]
+                val = sqrt_y * (np.exp(1j * ts[i] * logy) + phis[i] * np.exp(-1j * ts[i] * logy))
                 fourier = (lam[:, None] * kb * cos_nx).sum(axis=0)
-                val = val + (4.0 / xi_2s) * sqrt_y * fourier
+                val = val + (4.0 / xi_2s_i) * sqrt_y * fourier
                 out[i] = val
 
                 # estimate the first omitted term from the last included one: in the
                 # exponential regime each n-step loses a factor ~e^{-2 pi y_min}
-                last = 4.0 / abs(xi_2s) * float((sqrt_y * np.abs(lam[-1] * kb[-1])).max())
+                last = 4.0 / abs(xi_2s_i) * float((sqrt_y * np.abs(lam[-1] * kb[-1])).max())
                 omitted = last * math.exp(-2.0 * math.pi * y_min)
                 if omitted > 1e-12 * float(np.abs(val).max() + 1e-300):
                     worst_omitted = max(worst_omitted, omitted)
@@ -159,7 +160,7 @@ def _eval_sets(sets, t):
                 f"first omitted Fourier term ~{worst_omitted:.2e} exceeds 1e-12 of the value",
                 FourierTruncationWarning, stacklevel=3,
             )
-        yield out.reshape(ts.shape + xs.shape)
+        yield out.reshape(np.shape(t) + xs.shape)
 
 
 def eisenstein_eval_many(xs: np.ndarray, ys: np.ndarray, t) -> np.ndarray:
@@ -189,12 +190,6 @@ def weyl_sum_empirical(m: DiscreteMeasure, t) -> np.ndarray:
     return weyl_sums_empirical([m], t)[0]
 
 
-def _abs_sq(w) -> np.ndarray:
-    """|w|^2 elementwise, shaped like w."""
-    # Python's scalar abs and ** round differently from np.abs and np.square
-    return np.reshape([abs(v) ** 2 for v in np.ravel(w).tolist()], np.shape(w))
-
-
 def weyl_sum_exact_sq(D: int, t) -> np.ndarray:
     """Exact squared Weyl sums |int E dnu_D|^2 from the L-function identity, shaped like t.
 
@@ -203,14 +198,12 @@ def weyl_sum_exact_sq(D: int, t) -> np.ndarray:
     """
     require_fundamental(D)
     L1 = dirichlet_l(1.0, D).real
-    scale = 4.0 * math.sqrt(abs(D)) * L1 * L1
-    ts = np.array([_check_t(v) for v in np.ravel(t).tolist()])
+    ts = _check_t(t)
     s = 0.5 + 1j * ts
-    # one array call per L-function, then Python scalar arithmetic per t, as _abs_sq does
-    sq = [(h_minus(v) if D < 0 else h_plus(v)) / scale * abs(z * l / z2) ** 2
-          for v, z, l, z2 in zip(ts.tolist(), riemann_zeta(s).tolist(),
-                                 dirichlet_l(s, D).tolist(), riemann_zeta(2.0 * s).tolist())]
-    return np.reshape(sq, np.shape(t))
+    h = h_minus(ts) if D < 0 else h_plus(ts)
+    sq = h / (4.0 * math.sqrt(abs(D)) * L1 * L1) * np.abs(
+        riemann_zeta(s) * dirichlet_l(s, D) / riemann_zeta(2.0 * s)) ** 2
+    return sq.reshape(np.shape(t))
 
 
 @dataclass(frozen=True)
@@ -229,7 +222,8 @@ def weyl_compare(D: int, t, samples_per_unit_length: int = 200) -> WeylCompariso
     ratio = 1.
     """
     m = heegner_measure(D) if D < 0 else geodesic_measure(D, samples_per_unit_length)
-    emp = _abs_sq(weyl_sum_empirical(m, t))
+    # |.|^2 on a 1-d array, so a scalar t takes the same numpy loop as an array
+    emp = (np.abs(weyl_sum_empirical(m, np.ravel(t))) ** 2).reshape(np.shape(t))
     exact = weyl_sum_exact_sq(D, t)
     return WeylComparison(empirical_sq=emp, exact_sq=exact, ratio=emp / exact)
 
@@ -329,7 +323,7 @@ def berry_esseen_rhs_many(
     leading = 1.0 / T
     bounds = []
     for m_sums in sums:
-        sq = _abs_sq(m_sums - ref_sums)
+        sq = np.abs(m_sums - ref_sums) ** 2
         # even integrand: both half-lines
         eis = float(2.0 * (wts * weight * sq).sum() / (4.0 * math.pi))
 

@@ -14,13 +14,13 @@ coordinates, and ``reduce`` wraps it for one Point and its matrix.
 
 The orbit geometry has one array form, used by every module of the
 package: ``mobius_image`` gives the image of a point array under a matrix
-(a, b; c, d) in real arithmetic, ``sinh_half_rho`` gives sinh(rho/2) for
-point pairs, ``pair_u`` gives u and ``polar_image`` gives geodesic polar
-coordinates about i.  ``surface_distance_matrix`` holds the only minimum
-over ``NEIGHBOR_MATS``; ``surface_distance_to_point`` and
-``surface_distance`` wrap it.  The Point forms ``mobius_apply`` and
-``distance`` use complex and scalar arithmetic instead, so the test
-oracles built on them stay an independent route.
+(a, b; c, d) in real arithmetic, ``pair_u`` gives the one point-pair
+invariant u = sinh^2(rho/2), from which kernels and distances alike are
+taken, and ``polar_image`` gives geodesic polar coordinates about i.
+``surface_distance_matrix`` holds the only minimum over ``NEIGHBOR_MATS``;
+``surface_distance_to_point`` and ``surface_distance`` wrap it.  The Point
+forms ``mobius_apply`` and ``distance`` use complex and scalar arithmetic
+instead, so the test oracles built on them stay an independent route.
 """
 
 from __future__ import annotations
@@ -223,18 +223,6 @@ def polar_image(u, theta) -> tuple[np.ndarray, np.ndarray]:
     return s * np.sin(theta) / den, 1.0 / den
 
 
-def sinh_half_rho(x1, y1, x2, y2) -> np.ndarray:
-    """sinh(rho/2) = |z - w| / (2 sqrt(Im z Im w)) for z = x1 + i y1, w = x2 + i y2.
-
-    Broadcasts; the distance rho(z, w) is 2 arsinh of it.  Distances use
-    this form and kernels use ``pair_u``: the two round differently in the
-    last bit, and each keeps its callers' results unchanged.
-    """
-    s = 0.5 * np.hypot(x1 - x2, y1 - y2)
-    s /= np.sqrt(y1 * y2)
-    return s
-
-
 def pair_u(x1, y1, x2, y2):
     """u = |z - w|^2 / (4 Im z Im w) for z = x1 + i y1, w = x2 + i y2; broadcasts."""
     dx, dy = x1 - x2, y1 - y2
@@ -251,19 +239,20 @@ def surface_distance_matrix(xs1, ys1, xs2, ys2) -> np.ndarray:
     """All pairwise surface distances between two reduced atom sets.
 
     For fundamental-domain representatives the minimum of rho(z, gamma w)
-    over SL(2, Z) is attained within ``NEIGHBOR_MATS``; it is taken one
-    matrix at a time, so the working set is a single m x n slice.
+    over SL(2, Z) is attained within ``NEIGHBOR_MATS``; it is taken over u,
+    which rises with rho, one matrix at a time, so the working set is a
+    single m x n slice.
     """
     xs1, ys1, xs2, ys2 = (np.asarray(v, dtype=float) for v in (xs1, ys1, xs2, ys2))
     best = np.full((len(xs1), len(xs2)), np.inf)
     for a, b, c, d in NEIGHBOR_MATS:
         gx, gy = mobius_image(a, b, c, d, xs2, ys2)
-        # s stays bound until the next slice replaces it: freeing each slice
+        # u stays bound until the next slice replaces it: freeing each slice
         # at once lets malloc hand its pages back and fault them in again,
         # which made 385 x 1201 about 1.6x slower
-        s = sinh_half_rho(xs1[:, None], ys1[:, None], gx, gy)
-        np.minimum(best, s, out=best)
-    return 2.0 * np.arcsinh(best)
+        u = pair_u(xs1[:, None], ys1[:, None], gx, gy)
+        np.minimum(best, u, out=best)
+    return 2.0 * np.arcsinh(np.sqrt(best))
 
 
 def fundamental_domain_grid(

@@ -6,11 +6,12 @@ Mehler-Dirichlet formula is removed by a square-root substitution).
 `bessel_k_imag_many` takes an array of orders as well as an array of
 arguments: each order's panel count fixes its theta-grid, and the orders
 on one grid share the kernel exp(-x cosh theta), built once per grid with
-only one grid's kernel alive at a time.  The
-Riemann and Hurwitz zeta functions use Euler-Maclaurin summation, valid
-comfortably on Re s >= 1/2 with |Im s| <= 1e3.  Dirichlet L-functions of
-quadratic characters are assembled from Hurwitz zeta values; the gamma
-factors for the Weyl-sum identities are computed in log-gamma space.
+only one grid's kernel alive at a time; `conical_p` integrates its (t, u)
+pairs together per panel count.  The Riemann and Hurwitz zeta functions
+use Euler-Maclaurin summation, valid comfortably on Re s >= 1/2 with
+|Im s| <= 1e3.  Dirichlet L-functions of quadratic characters are
+assembled from Hurwitz zeta values; the gamma factors for the Weyl-sum
+identities are computed in log-gamma space.
 """
 
 from __future__ import annotations
@@ -255,47 +256,53 @@ def bessel_k_imag(tau: float, x: float) -> float:
 # Conical Legendre function
 
 
-def conical_p(t: float, u: float) -> float:
-    """Conical function P_{-1/2 + it}(1 + 2u) for real t and u >= 0.
+def conical_p(t, u):
+    """Conical function P_{-1/2 + it}(1 + 2u) for real t and u >= 0; t and u broadcast.
 
     Mehler-Dirichlet representation on the geodesic scale xi = 2 arsinh
     sqrt(u), with the endpoint singularity removed by the substitution
     s = xi - q^2 and the difference of cosh rewritten as a product of sinh
-    to avoid cancellation.
+    to avoid cancellation.  The (t, u) pairs that share a panel count are
+    integrated together, each on the panels of its own [0, sqrt(xi)].
     """
-    if u < 0.0:
+    tau, u = np.broadcast_arrays(np.abs(np.asarray(t, dtype=float)), np.asarray(u, dtype=float))
+    if np.any(u < 0.0):
         raise ValueError("u must be nonnegative")
-    if u == 0.0:
-        return 1.0
-    xi = 2.0 * math.asinh(math.sqrt(u))
-    tau = abs(float(t))
-    n_panels = max(2, math.ceil(tau * xi / 2.5))
-    q, w = gl_panels(0.0, math.sqrt(xi), n_panels, 16)
-    q2 = q * q
-    integrand = 2.0 * q * np.cos(tau * (xi - q2)) / np.sqrt(
-        2.0 * np.sinh(xi - 0.5 * q2) * np.sinh(0.5 * q2)
-    )
-    return float(math.sqrt(2.0) / math.pi * (w * integrand).sum())
+    out = np.ones(u.shape)
+    live = u > 0.0
+    xi = 2.0 * np.arcsinh(np.sqrt(u[live]))
+    tau = tau[live]
+    panels = np.maximum(2, np.ceil(tau * xi / 2.5)).astype(int)
+    vals = np.empty(xi.shape)
+    for n_panels in np.unique(panels).tolist():
+        i = panels == n_panels
+        q, w = gl_panels(0.0, np.sqrt(xi[i]), n_panels, 16)
+        q2 = q * q
+        x = xi[i, None]
+        integrand = 2.0 * q * np.cos(tau[i, None] * (x - q2)) / np.sqrt(
+            2.0 * np.sinh(x - 0.5 * q2) * np.sinh(0.5 * q2)
+        )
+        vals[i] = math.sqrt(2.0) / math.pi * (w * integrand).sum(axis=-1)
+    out[live] = vals
+    return out[()]
 
 
 # ---------------------------------------------------------------------------
 # Gamma factors of the Weyl-sum identities
 
 
-def h_minus(t: float) -> float:
-    """The constant gamma factor 2 pi^2 attached to imaginary discriminants."""
-    return 2.0 * math.pi**2
+def h_minus(t):
+    """The constant gamma factor 2 pi^2 attached to imaginary discriminants, shaped like t."""
+    return np.full(np.shape(t), 2.0 * math.pi**2)[()]
 
 
-def h_plus(t: float) -> float:
-    """Gamma factor for real discriminants; positive and even in t.
+def h_plus(t):
+    """Gamma factor for real discriminants, shaped like t; positive and even in t.
 
     Equals |Gamma(1/4 + it/2)^2 / Gamma(1/2 + it)|^2 for real t.
     """
-    t = float(t)
-    lg1 = loggamma(complex(0.25, 0.5 * t)).real
-    lg2 = loggamma(complex(0.5, t)).real
-    return math.exp(4.0 * lg1 - 2.0 * lg2)
+    t = np.asarray(t, dtype=float)
+    return np.exp(4.0 * loggamma(0.25 + 0.5j * t).real - 2.0 * loggamma(0.5 + 1j * t).real)
 
 
 def h_watson(t: float, t_g: float) -> float:

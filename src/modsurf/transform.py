@@ -118,7 +118,7 @@ def k_kernel_spectral(u: float, params: "TransformParams") -> float:
     T = params.T
     t_hi = 9.2 * T + 3.0
     t, w = gl_panels(0.0, t_hi, *_SPECTRAL_NODES)
-    p = np.array([conical_p(float(tt), u) for tt in t])
+    p = conical_p(t, u)
     h = np.exp(-(t * t + 0.25) / (2.0 * T * T))
     integrand = h * p * t * np.tanh(math.pi * t)
     # even integrand: twice the half-line integral, over 4 pi
@@ -190,7 +190,7 @@ def forward_transform(t: float, params: "TransformParams") -> float:
     """Recover h(t) as 4 pi int k(u) P_{-1/2+it}(1+2u) du (round-trip identity)."""
     rho, wk = _weighted_k(params.T, 0.0, 10.0 / params.T + 2.5, _FORWARD_NODES)
     u = np.sinh(0.5 * rho) ** 2
-    p = np.array([conical_p(t, float(uu)) for uu in u])
+    p = conical_p(t, u)
     return float(4.0 * math.pi * (wk * p * 0.5 * np.sinh(rho)).sum())
 
 

@@ -4,7 +4,8 @@ Each oracle deliberately takes a different route from the implementation
 it checks: a second integral representation for the conical function, a
 brute-force group sweep for the quotient distance, direct quadrature for
 the inner sine integral, basis enumeration for small transport LPs, plain
-Dirichlet series for L-functions, every tile folded over the whole grid for
+Dirichlet series for L-functions, trial division and complex powers for the
+divisor sums lam_t(n), every tile folded over the whole grid for
 the kernel mass, every matrix in a box with sampled tile boundaries for the
 tiles meeting a ball, the arclength parametrisation of a closed geodesic, the
 cube root of the x^2 - D y^2 = 1 solution for t^2 - D u^2 = 4, and plain
@@ -123,6 +124,11 @@ def dirichlet_series(s: complex, D: int, n_terms: int) -> complex:
     n = np.arange(1, n_terms + 1)
     chi = np.array([kronecker_symbol(D, int(k)) for k in n], dtype=float)
     return complex((chi * np.exp(-s * np.log(n))).sum())
+
+
+def divisor_lambda(n: int, t: float) -> float:
+    """lam_t(n) = sum over ad = n of (a/d)^{it}, by trial division and complex powers."""
+    return sum((a / (n // a)) ** complex(0.0, t) for a in range(1, n + 1) if n % a == 0).real
 
 
 def full_grid_kernel_mass(z: Point, params, n_x: int = 170, n_levels: int = 170,

@@ -285,6 +285,30 @@ class TestDuke:
         assert out.read_bytes() == (DATA / "duke_default.csv").read_bytes()
         assert capsys.readouterr().out == (DATA / "duke_default.stdout").read_text()
 
+    def test_weyl_exact_rel_on_the_row_scale(self, tmp_path, monkeypatch):
+        # D = -24 has a near-zero of the exact value at t = 13.76; on the scale
+        # of the row's largest exact value the gap there is rounding
+        out = tmp_path / "d.json"
+        assert run(["duke", "--json", "--out", str(out)], tmp_path, monkeypatch) == 0
+        rows = {row["D"]: row for row in json.loads(out.read_text())}
+        assert rows[-24]["weyl_exact_rel"] < 1e-10
+
+    def test_json_nan_slope_is_null(self, tmp_path, monkeypatch):
+        # one discriminant fits no slope; JSON has no NaN, so the slope is null
+        (tmp_path / "c.ini").write_text("[experiment]\ndiscriminants = -7\n"
+                                        "[haar]\nn_x = 12\nn_levels = 10\ny_max = 10\n")
+        out = tmp_path / "d.json"
+        assert run(["duke", "--config", "c.ini", "--json", "--out", str(out)],
+                   tmp_path, monkeypatch) == 0
+
+        def refuse(name):
+            raise ValueError(f"{name} is not JSON")
+
+        rows = json.loads(out.read_text(), parse_constant=refuse)
+        assert rows[-1]["D"] == "slope" and rows[-1]["W1_estimate"] is None
+        assert run(["duke", "--config", "c.ini", "--out", "d.csv"], tmp_path, monkeypatch) == 0
+        assert (tmp_path / "d.csv").read_text().splitlines()[-1].startswith("slope,nan,")
+
     def test_mixed_geodesic_golden(self, tmp_path, monkeypatch, capsys):
         # measures of different lowest atoms and Fourier lengths, one of them
         # a geodesic measure; T = 2 keeps t <= 15
@@ -458,10 +482,13 @@ class TestArgumentErrors:
         (["weyl-compare"], "[experiment]\ndiscriminants = -1000000000000000003\n"),
         (["transform-check"], "[experiment]\nbandwith = 2.0\n"),
         (["transform-check"], "[experiment]\nbandwidth = 2.0\n[tolerence]\n"),
+        (["duke"], "[experiment]\ndiscriminants =\n"),
+        (["weyl-compare"], "[experiment]\ndiscriminants =\n"),
     ], ids=["empty-bandwidth", "empty-t-values", "n-x-zero", "n-levels-negative", "y-max-nan",
             "bandwidth-inf", "seed-negative", "seed-flag-negative", "eps-zero",
             "wasserstein-support", "duke-support", "t-values-zero", "discriminant-envelope",
-            "misspelt-key", "unknown-empty-section"])
+            "misspelt-key", "unknown-empty-section", "duke-no-discriminants",
+            "weyl-compare-no-discriminants"])
     def test_bad_input_exit_two(self, argv, ini, tmp_path, monkeypatch, capsys):
         save_measure(haar_discretization(60, 40, 20.0), str(tmp_path / "haar.txt"))
         (tmp_path / "c.ini").write_text(ini)

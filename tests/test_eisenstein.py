@@ -30,6 +30,7 @@ from modsurf.eisenstein import (
 )
 from modsurf.hypgeo import GEN_S, GEN_T, Point, mobius_apply
 from modsurf.specfun import dirichlet_l, h_minus, riemann_zeta
+from oracles import divisor_lambda
 
 DEFAULT_DUKE_DISCRIMINANTS = (-7, -8, -11, -15, -20, -23, -24)
 
@@ -53,8 +54,21 @@ class TestScattering:
         with pytest.raises(ValueError):
             scattering_phi(1e-9)
 
+    def test_array_equals_scalar_calls(self):
+        ts = np.array([[0.3, -2.0, 7.5], [14.9, 35.0, -1e-6]])
+        many = scattering_phi(ts)
+        assert many.shape == ts.shape
+        assert np.array_equal(many, [[scattering_phi(t) for t in row] for row in ts.tolist()])
+
 
 class TestEisensteinEval:
+    def test_divisor_lambdas_against_trial_division(self):
+        ts = np.array([0.5, -3.7, 14.9])
+        lam = eisenstein._divisor_lambdas(40, ts)
+        assert lam.shape == (3, 40)
+        for row, t in zip(lam, ts.tolist()):
+            assert np.abs(row - [divisor_lambda(n, t) for n in range(1, 41)]).max() <= 1e-15
+
     def test_automorphy(self):
         z = Point(0.3, 1.4)
         for t in (1.0, 2.0):
@@ -72,9 +86,9 @@ class TestEisensteinEval:
 
     def test_truncation_stability(self, monkeypatch):
         z = Point(0.0, 1.0)
-        monkeypatch.setattr(eisenstein, "_auto_n_fourier", lambda y_min, t: 8)
+        monkeypatch.setattr(eisenstein, "_auto_n_fourier", lambda y_min, t: np.full(t.shape, 8))
         a = eisenstein_eval(z, 2.0)
-        monkeypatch.setattr(eisenstein, "_auto_n_fourier", lambda y_min, t: 16)
+        monkeypatch.setattr(eisenstein, "_auto_n_fourier", lambda y_min, t: np.full(t.shape, 16))
         b = eisenstein_eval(z, 2.0)
         assert abs(a - b) <= 1e-10
 
@@ -298,13 +312,15 @@ class TestBatchedT:
         assert calls == [(1.0, -7), (ts.shape, -7), (1.0, 5), (ts.shape, 5)]
 
     def test_one_zeta_per_t(self, monkeypatch):
-        # xi(1 + 2it) and phi(t) come from one log xi
+        # xi(1 + 2it) and phi(t) come from one log xi, for every t in one zeta call
         calls = []
         zeta = eisenstein.riemann_zeta
         monkeypatch.setattr(eisenstein, "riemann_zeta", lambda s: calls.append(s) or zeta(s))
         m = heegner_measure(-23)
-        eisenstein_eval_many(m.xs, m.ys, np.array([0.3, -2.0, 7.5, 14.9, 3.0]))
-        assert len(calls) == 5
+        ts = np.array([0.3, -2.0, 7.5, 14.9, 3.0])
+        eisenstein_eval_many(m.xs, m.ys, ts)
+        assert len(calls) == 1
+        assert np.array_equal(calls[0], 1.0 + 2j * ts)
 
     def test_rhs_many_equals_pairwise(self):
         grid = haar_discretization(12, 10, 20.0)
@@ -323,7 +339,9 @@ class TestBatchedT:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", PartialBoundWarning)
             berry_esseen_rhs_many(ms, haar_discretization(8, 6, 10.0), 1.0)
-        assert len(calls) == len(set(calls)) == 12 * 16 == math.prod(eisenstein._T_QUAD)
+        assert len(calls) == 1
+        nodes = calls[0].tolist()
+        assert len(set(nodes)) == len(nodes) == 12 * 16 == math.prod(eisenstein._T_QUAD)
 
     def test_rhs_many_peak_memory_bounded(self):
         # the default duke run; forming the (t, Fourier term, point) product
@@ -343,7 +361,7 @@ class TestBatchedT:
     def test_truncation_warning_reaches_caller(self, monkeypatch):
         grid = haar_discretization(8, 6, 10.0)
         data = MaassData(np.array([9.533]), np.array([0.01]))
-        monkeypatch.setattr(eisenstein, "_auto_n_fourier", lambda y_min, t: 2)
+        monkeypatch.setattr(eisenstein, "_auto_n_fourier", lambda y_min, t: np.full(t.shape, 2))
         with pytest.warns(FourierTruncationWarning):
             berry_esseen_rhs_many([heegner_measure(-7)], grid, 1.0, data)
 

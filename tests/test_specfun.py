@@ -301,6 +301,17 @@ class TestConicalP:
         for t, u in ((0.0, 0.2), (2.5, 0.05), (5.0, 1.7), (10.0, 3.0)):
             assert abs(conical_p(t, u) - laplace_conical_p(t, u)) < 1e-8
 
+    def test_array_equals_scalar_calls(self):
+        # t and u broadcast; the pairs of different panel counts, and u = 0,
+        # give each element the value of its own scalar call
+        ts = np.array([0.0, 0.3, -1.7, 5.0, 9.9, 25.0])
+        us = np.array([0.0, 1e-8, 0.1, 1.0, 3.0, 40.0])
+        for t, u in ((ts[:, None], us), (ts, 0.7), (2.5, us)):
+            many = conical_p(t, u)
+            tb, ub = np.broadcast_arrays(t, u)
+            assert many.shape == tb.shape
+            assert all(many[i] == conical_p(float(tb[i]), float(ub[i])) for i in np.ndindex(tb.shape))
+
 
 class TestGammaFactors:
     def test_h_minus_constant(self):
@@ -316,6 +327,11 @@ class TestGammaFactors:
         cap = 1.2 * h_plus(0.0)
         for t in (0.0, 1.0, 5.0, 20.0, 100.0):
             assert h_plus(t) * (1.0 + abs(t)) <= cap
+
+    def test_h_plus_array_equals_scalar_calls(self):
+        ts = np.linspace(-30.0, 30.0, 101)
+        assert np.array_equal(h_plus(ts), [h_plus(t) for t in ts.tolist()])
+        assert np.array_equal(h_minus(ts), np.full(ts.shape, h_minus(1.0)))
 
     def test_h_plus_even_positive(self):
         for t in (0.3, 2.0, 9.0):
