@@ -25,6 +25,11 @@ from .specfun import is_fundamental, require_fundamental  # noqa: F401 (re-expor
 SURFACE_AREA = math.pi / 3.0  # mu(Gamma \ H) for the modular group
 
 _PELL_MAX_PERIOD = 100_000
+_GEODESIC_ATOM_LIMIT = 2_000_000  # geodesic_measure's atoms, counted before sampling
+
+
+class AtomLimitError(ValueError):
+    """A measure would have more atoms than the code that builds or takes it allows."""
 
 
 @dataclass(frozen=True)
@@ -343,14 +348,18 @@ def geodesic_measure(D: int, samples_per_unit_length: int) -> DiscreteMeasure:
     arbitrarily long geodesics.  Every class contributes the same number
     of equally spaced samples (the lengths agree), so all atoms carry
     equal weight and the measure refines to the normalised line-integral
-    measure.
+    measure.  Raises AtomLimitError above ``_GEODESIC_ATOM_LIMIT`` atoms.
     """
     if samples_per_unit_length <= 0:
         raise ValueError("sampling rate must be positive")
     _t, _u, length = _pell_and_length(D)
     n = max(2, math.ceil(length * samples_per_unit_length))
+    cycles = _form_cycles(D)
+    if n * len(cycles) > _GEODESIC_ATOM_LIMIT:
+        raise AtomLimitError(f"geodesic measures are limited to {_GEODESIC_ATOM_LIMIT} atoms, "
+                             f"D={D} would have {n * len(cycles)}")
     xs, ys = [], []
-    for cycle in _form_cycles(D):
+    for cycle in cycles:
         x, y = _sample_cycle(cycle, D, n)
         xs.append(x)
         ys.append(y)

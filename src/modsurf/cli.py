@@ -5,7 +5,7 @@ All subcommands take --config, --out and --json; mollify-check also takes
 --plan-out.  ``modsurf <command> --help`` lists a command's CSV columns.
 
 Exit codes: 0 all checks pass, 1 check failure, 2 configuration error,
-bad arguments, or measures too large for the transport solvers (one line on
+bad arguments, or measures too large to build or to transport (one line on
 stderr).
 
 The configuration file is flat INI (sections [experiment], [haar],
@@ -32,6 +32,7 @@ import numpy as np
 
 from . import transform
 from .arithmetic import (
+    AtomLimitError,
     class_number,
     closed_geodesics,
     geodesic_measure,
@@ -53,8 +54,8 @@ from .eisenstein import (
 from .hypgeo import Point, pair_u
 from .specfun import dirichlet_l
 from .transform import TransformParams
-from .transport import (SupportLimitError, _check_support, best_dual_lower_bound_many,
-                        clipped_distance, save_plan, w1_exact)
+from .transport import (_check_support, best_dual_lower_bound_many, clipped_distance,
+                        save_plan, w1_exact)
 
 
 class ConfigError(ValueError):
@@ -211,8 +212,8 @@ def cmd_transform_check(cfg: ExperimentConfig, args):
         kvals = transform.k_of_rho(2.0 * np.arcsinh(np.sqrt(us)), T)
         ok_pos = bool(kvals.min() >= -1e-15)
 
-        fwd_err = max(abs(transform.forward_transform(t, params) - transform.h_test(t, T))
-                      for t in (0.0, 1.0, 5.0, 10.0))
+        ts = np.array([0.0, 1.0, 5.0, 10.0])
+        fwd_err = float(max(abs(transform.forward_transform(ts, params) - transform.h_test(ts, T))))
         ok_fwd = fwd_err <= cfg.tol_forward
 
         route_diff = abs(transform.k_kernel(0.1, params)
@@ -341,6 +342,11 @@ def cmd_duke(cfg: ExperimentConfig, args):
         data = MaassData.load(cfg.maass_data) if cfg.maass_data else None
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read Maass data {cfg.maass_data}: {exc}") from exc
+    if cfg.maass_data and len(cfg.discriminants) > 1:
+        # berry_esseen_rhs_many adds the one data set to every measure's bound
+        raise ConfigError(f"--maass-data describes one measure, got {len(cfg.discriminants)} "
+                          "discriminants")
+    _check_support(cfg.n_x * cfg.n_levels + 1)  # the grid's atoms, before they are built
     grid = haar_discretization(cfg.n_x, cfg.n_levels, cfg.y_max)
     mesh = _haar_mesh_bound(cfg.n_x, cfg.n_levels, cfg.y_max)
     cusp_bound = 3.0 / (math.pi * cfg.y_max)
@@ -349,7 +355,7 @@ def cmd_duke(cfg: ExperimentConfig, args):
     measures = [heegner_measure(D) if D < 0
                 else geodesic_measure(D, cfg.samples_per_unit_length) for D in ds]
     for m in measures:  # fail before the spectral bound, not after it
-        _check_support(m, grid)
+        _check_support(len(m), len(grid))
     with warnings.catch_warnings():
         # the partial-bound note below stands for the warning
         warnings.simplefilter("ignore", PartialBoundWarning)
@@ -524,7 +530,7 @@ def main(argv=None) -> int:
         # looked up by name at call time, so a replaced module attribute is called
         rows, ok = globals()["cmd_" + args.command.replace("-", "_")](cfg, args)
         _emit(rows, COMMANDS[args.command][1], args.out, args.json)
-    except (ConfigError, SupportLimitError) as exc:
+    except (ConfigError, AtomLimitError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     return 0 if ok else 1

@@ -298,9 +298,10 @@ def berry_esseen_rhs_many(
     (1/4 pi) int e^{-t^2/T^2}/(1/4+t^2) |Delta E(t)|^2 dt over |t| <= t_max,
     t_max = max(3T, 15) (Gauss-Legendre panels; nodes avoid t = 0), with
     the Gaussian tail beyond t_max reported as an analytic bound rather
-    than silently dropped.  Without cuspidal data the results are partial
-    evaluations of the bound, flagged by ``is_partial`` and by one
-    ``PartialBoundWarning``.
+    than silently dropped.  ``data`` describes one measure: its cuspidal
+    term is added to each bound unchanged.  Without cuspidal data the
+    results are partial evaluations of the bound, flagged by ``is_partial``
+    and by one ``PartialBoundWarning``.
     """
     if T < 1.0:
         raise ValueError("T must be at least 1")

@@ -14,12 +14,11 @@ conical function; the two are compared in the tests.
 
 The automorphic kernel sums k over the group elements whose tiles meet the
 hyperbolic ball where k is above the truncation threshold; ``ball_tiles``
-lists them in closed form from the bottom rows of gamma^-1.  Mobius images
-and point-pair quantities come from ``hypgeo``'s ``mobius_image`` and
-``pair_u``.  The surface mass of the kernel takes the preimages gamma^-1 z
-of the base point in one ``mobius_image`` call, with gamma^-1 =
-(d, -b; -c, a), and evaluates each tile only on the grid nodes inside the
-ball around its preimage.
+lists them in closed form from the bottom rows of gamma^-1.  Both kernel
+sums take u(z, gamma w) = u(gamma^-1 z, w): one ``mobius_image`` call gives
+the preimages gamma^-1 z, with gamma^-1 = (d, -b; -c, a), and ``pair_u``
+pairs them with w.  The surface mass evaluates each tile only on the grid
+nodes inside the ball around its preimage.
 """
 
 from __future__ import annotations
@@ -58,19 +57,18 @@ class TruncationWarning(RuntimeWarning):
     """Group-sum truncation may have dropped terms above tolerance."""
 
 
-def h_test(t: complex, T: float) -> float:
-    """Test function h(t) = exp(-(t^2 + 1/4) / (2 T^2)) at bandwidth T.
+def h_test(t, T: float):
+    """Test function h(t) = exp(-(t^2 + 1/4) / (2 T^2)) at bandwidth T, over an array of t.
 
     Defined for real t and for purely imaginary t = i sigma with
     |sigma| <= 1/2; in both cases the value is real and positive, and
-    h(i/2) = 1.
+    h(i/2) = 1.  A scalar t gives a float.
     """
-    t = complex(t)
-    if abs(t.imag) > 0.0:
-        if abs(t.real) > 1e-12 or abs(t.imag) > 0.5 + 1e-12:
-            raise ValueError("t must be real or in i(-1/2, 1/2]")
-    t2 = t.real * t.real - t.imag * t.imag
-    return math.exp(-(t2 + 0.25) / (2.0 * T * T))
+    t = np.asarray(t, dtype=complex)
+    if np.any((t.imag != 0.0) & ((np.abs(t.real) > 1e-12) | (np.abs(t.imag) > 0.5 + 1e-12))):
+        raise ValueError("t must be real or in i(-1/2, 1/2]")
+    h = np.exp(-(t.real * t.real - t.imag * t.imag + 0.25) / (2.0 * T * T))
+    return h if h.ndim else float(h)
 
 
 def inner_sine_integral(v: float | np.ndarray, T: float):
@@ -118,9 +116,7 @@ def k_kernel_spectral(u: float, params: "TransformParams") -> float:
     T = params.T
     t_hi = 9.2 * T + 3.0
     t, w = gl_panels(0.0, t_hi, *_SPECTRAL_NODES)
-    p = conical_p(t, u)
-    h = np.exp(-(t * t + 0.25) / (2.0 * T * T))
-    integrand = h * p * t * np.tanh(math.pi * t)
+    integrand = h_test(t, T) * conical_p(t, u) * t * np.tanh(math.pi * t)
     # even integrand: twice the half-line integral, over 4 pi
     return float((w * integrand).sum() * 2.0 / (4.0 * math.pi))
 
@@ -186,12 +182,12 @@ def kernel_mass_integral(params: "TransformParams") -> float:
     return float(4.0 * math.pi * (wk * 0.5 * np.sinh(rho)).sum())
 
 
-def forward_transform(t: float, params: "TransformParams") -> float:
-    """Recover h(t) as 4 pi int k(u) P_{-1/2+it}(1+2u) du (round-trip identity)."""
+def forward_transform(t, params: "TransformParams"):
+    """h(t) recovered as 4 pi int k(u) P_{-1/2+it}(1+2u) du, over an array of t (round trip)."""
     rho, wk = _weighted_k(params.T, 0.0, 10.0 / params.T + 2.5, _FORWARD_NODES)
-    u = np.sinh(0.5 * rho) ** 2
-    p = conical_p(t, u)
-    return float(4.0 * math.pi * (wk * p * 0.5 * np.sinh(rho)).sum())
+    p = conical_p(np.asarray(t, dtype=float)[..., None], np.sinh(0.5 * rho) ** 2)
+    out = 4.0 * math.pi * (wk * p * 0.5 * np.sinh(rho)).sum(axis=-1)
+    return out if out.ndim else float(out)
 
 
 def arsinh_moment(params: "TransformParams") -> tuple[float, float]:
@@ -268,9 +264,9 @@ def automorphic_kernel(z: Point, w: Point, params: "TransformParams") -> float:
     tab = _kernel_table(params.T)
     zr = reduce(z).point
     wr = reduce(w).point
-    mats = ball_tiles(zr, 2.0 * math.asinh(math.sqrt(params.u_cutoff)))
-    gx, gy = mobius_image(*mats.T.astype(float), wr.x, wr.y)
-    u = pair_u(gx, gy, zr.x, zr.y)
+    a, b, c, d = ball_tiles(zr, 2.0 * math.asinh(math.sqrt(params.u_cutoff))).T
+    # u(z, gamma w) = u(gamma^-1 z, w), with gamma^-1 = (d, -b; -c, a)
+    u = pair_u(*mobius_image(d, -b, -c, a, zr.x, zr.y), wr.x, wr.y)
     u = u[u <= params.u_cutoff]
     return float(tab.eval_u(u).sum())
 
@@ -304,24 +300,23 @@ def kernel_mass_on_surface(
     whose disk misses the grid are skipped.  The grid is evenly spaced in
     v = 1/y down each column, so the disk, widened by ``_SELECT_MARGIN``,
     meets a column in one range of levels, found in closed form.  On the
-    box of these levels u is computed from gamma w and filtered exactly as
-    over the whole grid, in ascending node order: each dot product sees the
-    same elements in the same order, so the mass is bit-identical to
-    folding every tile over the whole grid.
+    box of these levels u is computed from gamma^-1 z and filtered exactly
+    as over the whole grid, in ascending node order: each dot product sees
+    the same elements in the same order, so the mass is bit-identical to
+    folding every tile's preimage over the whole grid.
     """
     tab = _kernel_table(params.T)
     zr = reduce(z).point
     xs, ys, wmu = fundamental_domain_grid(n_x, n_levels, _Y_CUT)
 
     rho_tile = tab.rho_at_level(_TILE_LEVEL)
-    mats = ball_tiles(zr, rho_tile).astype(float)
+    a, b, c, d = ball_tiles(zr, rho_tile).T
     u_lim = math.sinh(0.5 * rho_tile) ** 2
 
     # fundamental_domain_grid puts level l of a column at v = 1/_Y_CUT + (l + 1/2) v_step
     x_col = xs[:n_x]
     v_step = (1.0 / np.sqrt(1.0 - x_col * x_col) - 1.0 / _Y_CUT) / n_levels
     # the widened preimage disks: centre (px, cy), radius r
-    a, b, c, d = mats.T
     px, py = mobius_image(d, -b, -c, a, zr.x, zr.y)
     u_sel = u_lim * (1.0 + _SELECT_MARGIN)
     cy = py * (1.0 + 2.0 * u_sel)
@@ -343,8 +338,7 @@ def kernel_mass_on_surface(
         # the box of levels lo..hi over these columns holds every candidate;
         # read row by row, it is in ascending node order as in the full grid
         box = (slice(max(int(lo), 0), min(int(hi), n_levels - 1) + 1), cols)
-        gx, gy = mobius_image(*mats[t], x_col[cols], y2[box])
-        u = pair_u(gx, gy, zr.x, zr.y)
+        u = pair_u(px[t], py[t], x_col[cols], y2[box])
         sel = u <= u_lim
         if np.any(sel):
             mass += float(w2[box][sel] @ tab.eval_u(u[sel]))
@@ -353,8 +347,7 @@ def kernel_mass_on_surface(
     # there; K at the probes is the sum over the listed tiles, added tile by
     # tile as the sum over axis 0 runs row by row
     top = np.linspace(-0.45, 0.45, 7)
-    gx, gy = mobius_image(*(mats[:, i:i + 1] for i in range(4)), top, _Y_CUT)
-    k_top = tab.eval_u(pair_u(gx, gy, zr.x, zr.y)).sum(axis=0)
+    k_top = tab.eval_u(pair_u(px[:, None], py[:, None], top, _Y_CUT)).sum(axis=0)
     tail_cusp = float(k_top.max()) / _Y_CUT
     # dropped k-tail beyond the tile radius: 4 pi int_{u_lim}^inf k du
     rho, wk = _weighted_k(params.T, rho_tile, 12.0 / params.T + 3.0, _TAIL_NODES)

@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from . import hypgeo
-from .arithmetic import DiscreteMeasure, read_table
+from .arithmetic import AtomLimitError, DiscreteMeasure, read_table
 from .hypgeo import Point, surface_distance_matrix, surface_distance_to_point
 
 _COST_SIZE_LIMIT = 4 * 10**8  # entries
@@ -29,7 +29,7 @@ _RC_TOL = 1e-11  # reduced-cost optimality tolerance
 _PRICING_BLOCK = 4.0  # most cells in a pricing block, in units of sqrt(m n)
 
 
-class SupportLimitError(ValueError):
+class SupportLimitError(AtomLimitError):
     """The measures have more atoms combined than the transport solvers take."""
 
 
@@ -70,11 +70,11 @@ DEFAULT_DUAL_FAMILY = [clipped_distance(z, R) for z in _SITES for R in (1.0, 2.0
 DEFAULT_DUAL_FAMILY.append(clipped_distance(Point(0.3, 1.5), 2.0))
 
 
-def _check_support(m1: DiscreteMeasure, m2: DiscreteMeasure) -> None:
-    """Raise SupportLimitError if m1 and m2 have more than _SUPPORT_LIMIT atoms combined."""
-    if len(m1) + len(m2) > _SUPPORT_LIMIT:
+def _check_support(*sizes: int) -> None:
+    """Raise SupportLimitError if measures of these atom counts exceed _SUPPORT_LIMIT combined."""
+    if sum(sizes) > _SUPPORT_LIMIT:
         raise SupportLimitError(f"transport solvers are limited to {_SUPPORT_LIMIT} atoms "
-                                f"combined, got {len(m1)} + {len(m2)}")
+                                f"combined, got {' + '.join(map(str, sizes))}")
 
 
 def cost_matrix(m1: DiscreteMeasure, m2: DiscreteMeasure) -> CostMatrix:
@@ -198,7 +198,7 @@ def w1_exact(m1: DiscreteMeasure, m2: DiscreteMeasure) -> tuple[float, Transport
     block with a reduced cost below -_RC_TOL sends its most negative cell to
     :func:`_pivot`, and a full cycle of blocks with none proves optimality.
     """
-    _check_support(m1, m2)
+    _check_support(len(m1), len(m2))
     cost = cost_matrix(m1, m2).entries
     m, n = cost.shape
     parent, flow, order = _northwest_basis(m1.weights, m2.weights)
@@ -410,7 +410,7 @@ def w1_sinkhorn(m1: DiscreteMeasure, m2: DiscreteMeasure, reg: float) -> float:
     """
     if reg <= 0:
         raise ValueError("regularisation must be positive")
-    _check_support(m1, m2)  # the Newton step's dense Hessian has (m + n)^2 entries
+    _check_support(len(m1), len(m2))  # the Newton step's dense Hessian has (m + n)^2 entries
     if m1 is m2 or (len(m1) == len(m2) and np.array_equal(m1.xs, m2.xs)
                     and np.array_equal(m1.ys, m2.ys)
                     and np.array_equal(m1.weights, m2.weights)):

@@ -5,9 +5,10 @@ it checks: a second integral representation for the conical function, a
 brute-force group sweep for the quotient distance, direct quadrature for
 the inner sine integral, basis enumeration for small transport LPs, plain
 Dirichlet series for L-functions, trial division and complex powers for the
-divisor sums lam_t(n), every tile folded over the whole grid for
-the kernel mass, every matrix in a box with sampled tile boundaries for the
-tiles meeting a ball, the arclength parametrisation of a closed geodesic, the
+divisor sums lam_t(n), every tile folded over the whole grid, by its
+preimage of z or by the Mobius images of the nodes, for the kernel mass,
+every matrix in a box with sampled tile boundaries for the tiles meeting a
+ball, the arclength parametrisation of a closed geodesic, the
 cube root of the x^2 - D y^2 = 1 solution for t^2 - D u^2 = 4, and plain
 log-domain alternating Sinkhorn at one regularisation for the entropic plan.
 """
@@ -132,31 +133,39 @@ def divisor_lambda(n: int, t: float) -> float:
 
 
 def full_grid_kernel_mass(z: Point, params, n_x: int = 170, n_levels: int = 170,
-                          y_cut: float = 50.0, tile_level: float = 1e-8) -> tuple[float, float]:
+                          y_cut: float = 50.0, tile_level: float = 1e-8,
+                          by_images: bool = False) -> tuple[float, float]:
     """``kernel_mass_on_surface`` with every tile folded over the whole grid.
 
     Evaluates u(z, gamma w) at all grid nodes for each tile and keeps
     u <= u_lim, with one tile at a time for the cusp probes too; no
-    preimage ball selects the nodes.
+    preimage ball selects the nodes.  u is u(gamma^-1 z, w) from the
+    preimages of z, as in the implementation, or with ``by_images`` the
+    independent route u(z, gamma w) from the Mobius images of the nodes.
     """
     tab = _kernel_table(params.T)
     zr = reduce(z).point
     xs, ys, wmu = fundamental_domain_grid(n_x, n_levels, y_cut)
     rho_tile = tab.rho_at_level(tile_level)
     mats = ball_tiles(zr, rho_tile)
+    a, b, c, d = mats.T
+    px, py = mobius_image(d, -b, -c, a, zr.x, zr.y)
+
+    def tile_u(k, x, y):
+        if by_images:
+            return pair_u(*mobius_image(*mats[k].astype(float), x, y), zr.x, zr.y)
+        return pair_u(px[k], py[k], x, y)
 
     mass = 0.0
     top = np.linspace(-0.45, 0.45, 7)
     k_top = np.zeros(top.shape)
     u_lim = math.sinh(0.5 * rho_tile) ** 2
-    for row in mats.astype(float):
-        gx, gy = mobius_image(*row, xs, ys)
-        u = pair_u(gx, gy, zr.x, zr.y)
+    for k in range(len(mats)):
+        u = tile_u(k, xs, ys)
         sel = u <= u_lim
         if np.any(sel):
             mass += float(wmu[sel] @ tab.eval_u(u[sel]))
-        gx, gy = mobius_image(*row, top, y_cut)
-        k_top += tab.eval_u(pair_u(gx, gy, zr.x, zr.y))
+        k_top += tab.eval_u(tile_u(k, top, y_cut))
 
     tail_cusp = float(k_top.max()) / y_cut
     rho_hi = 12.0 / params.T + 3.0

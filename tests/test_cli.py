@@ -484,13 +484,24 @@ class TestArgumentErrors:
         (["transform-check"], "[experiment]\nbandwidth = 2.0\n[tolerence]\n"),
         (["duke"], "[experiment]\ndiscriminants =\n"),
         (["weyl-compare"], "[experiment]\ndiscriminants =\n"),
+        # a grid of 10^10 atoms and geodesic samples of 1.9 x 10^10 atoms,
+        # counted before they are allocated
+        (["duke"], "[haar]\nn_x = 100000\nn_levels = 100000\n"),
+        *((argv, "[experiment]\ndiscriminants = 5\n"
+                 "[geodesic]\nsamples_per_unit_length = 10000000000\n")
+          for argv in (["duke"], ["weyl-compare"], ["geodesics"])),
+        # m.txt is valid: the data describes one measure, not the seven defaults
+        (["duke", "--maass-data", "m.txt"], ""),
     ], ids=["empty-bandwidth", "empty-t-values", "n-x-zero", "n-levels-negative", "y-max-nan",
             "bandwidth-inf", "seed-negative", "seed-flag-negative", "eps-zero",
             "wasserstein-support", "duke-support", "t-values-zero", "discriminant-envelope",
             "misspelt-key", "unknown-empty-section", "duke-no-discriminants",
-            "weyl-compare-no-discriminants"])
+            "weyl-compare-no-discriminants", "duke-grid-atoms", "duke-geodesic-atoms",
+            "weyl-compare-geodesic-atoms", "geodesics-geodesic-atoms",
+            "duke-maass-data-many-discriminants"])
     def test_bad_input_exit_two(self, argv, ini, tmp_path, monkeypatch, capsys):
         save_measure(haar_discretization(60, 40, 20.0), str(tmp_path / "haar.txt"))
+        (tmp_path / "m.txt").write_text("9.53 0.01\n")
         (tmp_path / "c.ini").write_text(ini)
         assert run(argv + ["--config", "c.ini"], tmp_path, monkeypatch) == 2
         err = capsys.readouterr().err.splitlines()

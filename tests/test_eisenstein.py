@@ -323,6 +323,7 @@ class TestBatchedT:
         assert np.array_equal(calls[0], 1.0 + 2j * ts)
 
     def test_rhs_many_equals_pairwise(self):
+        # the data describes one measure; the many form adds it to each bound
         grid = haar_discretization(12, 10, 20.0)
         ms = [heegner_measure(-4), heegner_measure(-23), geodesic_measure(5, 20)]
         data = MaassData(np.array([9.533]), np.array([0.01]))

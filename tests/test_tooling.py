@@ -1,7 +1,9 @@
 """Tooling checks: the traced benchmark run finds every function it wraps,
-src imports only at module level, and every private constant is read."""
+src imports only at module level, every private constant is read, and the
+README's config example lists every config key."""
 
 import ast
+import configparser
 import importlib
 import importlib.util
 import re
@@ -11,6 +13,7 @@ import pytest
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 SRC = Path(__file__).resolve().parent.parent / "src" / "modsurf"
+README = SRC.parent.parent / "README.md"
 
 
 def _tracer():
@@ -93,3 +96,13 @@ def test_exported_names_have_a_caller():
                 elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                     read.add(node.attr)
     assert exported - read == set(_EXPORTED_WITHOUT_CALLER), sorted(exported - read)
+
+
+def test_readme_config_example_lists_every_key():
+    # the README's ini block shows each section and key that load_config accepts
+    block = re.search(r"```ini\n(.*?)```", README.read_text(), re.S).group(1)
+    parser = configparser.ConfigParser(default_section="", inline_comment_prefixes=("#",))
+    parser.read_string(block)
+    cli = importlib.import_module("modsurf.cli")
+    assert ({sec: set(parser.options(sec)) for sec in parser.sections()}
+            == {sec: set(keys) for sec, keys in cli._INI_KEYS.items()})

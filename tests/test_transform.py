@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from modsurf import transform as tr
-from modsurf.hypgeo import Point
+from modsurf.hypgeo import Point, mobius_image
 from modsurf.transform import (
     TransformParams,
     arsinh_moment,
@@ -54,6 +54,14 @@ class TestHTest:
     def test_domain(self):
         with pytest.raises(ValueError):
             h_test(0.7j, 1.0)
+        with pytest.raises(ValueError):
+            h_test(np.array([0.0, 1.0, 0.3 + 0.2j]), 1.0)
+
+    def test_array_equals_scalar_calls(self):
+        ts = np.array([0.0, 1.0, 5.0, 10.0, 0.5j, -0.25j])
+        for T in (1.0, 2.0, 5.0, 10.0):
+            assert h_test(ts, T).tolist() == [h_test(t, T) for t in ts.tolist()]
+            assert type(h_test(1.0, T)) is float
 
 
 class TestInnerSineIntegral:
@@ -112,6 +120,14 @@ class TestForwardTransform:
             for t in (0.0, 1.0, 5.0, 10.0):
                 assert abs(forward_transform(t, p) - h_test(t, T)) <= 1e-4
 
+    def test_array_equals_scalar_calls(self):
+        ts = np.array([0.0, 1.0, 5.0, 10.0])
+        for T in (1.0, 2.0, 5.0, 10.0):
+            p = TransformParams.default(T)
+            values = [forward_transform(t, p) for t in ts.tolist()]
+            assert forward_transform(ts, p).tolist() == values
+            assert all(type(v) is float for v in values)
+
     def test_unit_limit(self, params_t1):
         # the t = i/2 case degenerates to the kernel unit mass
         assert abs(kernel_mass_integral(params_t1) - h_test(0.5j, 1.0)) <= 1e-6
@@ -158,22 +174,51 @@ class TestAutomorphicKernel:
         assert abs(mass - 1.0) <= 1e-3
 
 
+_MASS_POINTS = [
+    Point(0.0, 1.0),
+    Point(-0.5, math.sqrt(3.0) / 2.0),  # the corner e^{2 pi i/3}
+    # on x = -1/2, at the height that puts the grid node of column 0,
+    # level 1 on the boundary of B(z, rho_tile) to the last bit: without
+    # the selection margin that node is dropped
+    Point(-0.5, 1.047803440528859),
+    Point(0.3, 0.9),  # reduced inside
+    Point(0.1, 4.0),  # the ball reaches far above the grid top
+]
+
+
 class TestKernelMassByPreimageBalls:
     """The preimage-ball selection against every tile folded over the whole grid."""
 
-    @pytest.mark.parametrize("z", [
-        Point(0.0, 1.0),
-        Point(-0.5, math.sqrt(3.0) / 2.0),  # the corner e^{2 pi i/3}
-        # on x = -1/2, at the height that puts the grid node of column 0,
-        # level 1 on the boundary of B(z, rho_tile) to the last bit: without
-        # the selection margin that node is dropped
-        Point(-0.5, 1.047803440528859),
-        Point(0.3, 0.9),  # reduced inside
-        Point(0.1, 4.0),  # the ball reaches far above the grid top
-    ])
+    @pytest.mark.parametrize("z", _MASS_POINTS)
     def test_bit_identical_to_full_grid(self, z, params_t2):
         assert (tr.kernel_mass_on_surface(z, params_t2, n_x=60, n_levels=60)
                 == full_grid_kernel_mass(z, params_t2, n_x=60, n_levels=60))
+
+    @pytest.mark.parametrize("z", _MASS_POINTS)
+    def test_agrees_with_mobius_images(self, z, params_t2):
+        # u(gamma^-1 z, w) against u(z, gamma w) from the images of the nodes
+        mass, bound = tr.kernel_mass_on_surface(z, params_t2, n_x=60, n_levels=60)
+        mass_g, bound_g = full_grid_kernel_mass(z, params_t2, n_x=60, n_levels=60,
+                                                by_images=True)
+        assert abs(mass - mass_g) <= 1e-14 * abs(mass_g)
+        assert abs(bound - bound_g) <= 1e-14 * abs(bound_g)
+
+    def test_one_preimage_call_whatever_the_tile_count(self, params_t2, monkeypatch):
+        # one mobius_image call in ball_tiles and one for the preimages
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return mobius_image(*args)
+
+        points = (Point(0.0, 1.0), Point(0.1, 4.0))
+        rho_tile = tr._kernel_table(2.0).rho_at_level(tr._TILE_LEVEL)
+        assert len(tr.ball_tiles(points[0], rho_tile)) != len(tr.ball_tiles(points[1], rho_tile))
+        monkeypatch.setattr(tr, "mobius_image", counted)
+        for z in points:
+            calls.clear()
+            tr.kernel_mass_on_surface(z, params_t2, n_x=60, n_levels=60)
+            assert len(calls) == 2
 
 
 class TestBallTilesComplete:
