@@ -38,9 +38,7 @@ from .hypgeo import (
     Point,
     SurfacePoint,
     UnimodularMatrix,
-    distance,
     height,
-    mobius_apply,
     reduce,
     surface_distance,
 )

@@ -194,9 +194,10 @@ def pell_fundamental(D: int) -> tuple[int, int]:
 @lru_cache(maxsize=64)
 def _pell_and_length(D: int) -> tuple[int, int, float]:
     """(t, u, length): the fundamental solution of t^2 - D u^2 = 4 and the
-    common closed-geodesic length 2 log((t + u sqrt(D))/2)."""
+    common closed-geodesic length 2 log((t + u sqrt(D))/2), taken from the
+    integers t and u/t so that no big integer is converted to float."""
     t, u = pell_fundamental(D)
-    return t, u, 2.0 * math.log((t + u * math.sqrt(D)) / 2.0)
+    return t, u, 2.0 * (math.log(t) + math.log1p(math.sqrt(D) * (u / t)) - math.log(2.0))
 
 
 def closed_geodesics(D: int) -> list[ClosedGeodesic]:

@@ -38,7 +38,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import loggamma
 
 from ._gl import gl_panels
 from .arithmetic import (
@@ -50,6 +49,7 @@ from .arithmetic import (
 )
 from .specfun import (
     UnderflowWarning,
+    _loggamma,
     bessel_k_imag_many,
     dirichlet_l,
     h_minus,
@@ -88,7 +88,7 @@ def _xi_phi(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     numerator for real t, so it is the pure phase exp(-2i Im log xi(1 + 2it)).
     """
     s = 1.0 + 2j * t
-    log_xi = -0.5 * s * math.log(math.pi) + loggamma(s / 2.0) + np.log(riemann_zeta(s))
+    log_xi = -0.5 * s * math.log(math.pi) + _loggamma(s / 2.0) + np.log(riemann_zeta(s))
     return np.exp(log_xi), np.exp(1j * (-2.0 * log_xi.imag))
 
 

@@ -18,9 +18,7 @@ package: ``mobius_image`` gives the image of a point array under a matrix
 invariant u = sinh^2(rho/2), from which kernels and distances alike are
 taken, and ``polar_image`` gives geodesic polar coordinates about i.
 ``surface_distance_matrix`` holds the only minimum over ``NEIGHBOR_MATS``;
-``surface_distance_to_point`` and ``surface_distance`` wrap it.  The Point
-forms ``mobius_apply`` and ``distance`` use complex and scalar arithmetic
-instead, so the test oracles built on them stay an independent route.
+``surface_distance_to_point`` and ``surface_distance`` wrap it.
 """
 
 from __future__ import annotations
@@ -101,21 +99,6 @@ class SurfacePoint:
 
     point: Point
     reducing_matrix: UnimodularMatrix
-
-
-def mobius_apply(g: UnimodularMatrix, z: Point) -> Point:
-    """Apply the Mobius transformation z -> (az + b)/(cz + d)."""
-    den = complex(g.c * z.x + g.d, g.c * z.y)
-    num = complex(g.a * z.x + g.b, g.a * z.y)
-    w = num / den
-    return Point(w.real, w.imag)
-
-
-def distance(z: Point, w: Point) -> float:
-    """Hyperbolic distance rho(z, w) = 2 arsinh(|z - w| / (2 sqrt(Im z Im w)))."""
-    dx = z.x - w.x
-    dy = z.y - w.y
-    return 2.0 * math.asinh(0.5 * math.hypot(dx, dy) / math.sqrt(z.y * w.y))
 
 
 def reduce(z: Point) -> SurfacePoint:

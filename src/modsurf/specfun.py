@@ -10,8 +10,11 @@ only one grid's kernel alive at a time; `conical_p` integrates its (t, u)
 pairs together per panel count.  The Riemann and Hurwitz zeta functions
 use Euler-Maclaurin summation, valid comfortably on Re s >= 1/2 with
 |Im s| <= 1e3.  Dirichlet L-functions of quadratic characters are
-assembled from Hurwitz zeta values; the gamma factors for the Weyl-sum
-identities are computed in log-gamma space.
+assembled from Hurwitz zeta values.  The gamma factors for the Weyl-sum
+identities are computed in log-gamma space: ``_loggamma`` is Stirling's
+series (DLMF 5.11.1) at z + 10 less sum_{k<10} log(z + k), the principal
+branch on Re z > 0, and ``_digamma`` is the matching series for psi,
+which gives L(1, chi_D); both take the Bernoulli numbers of the zeta layer.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ import warnings
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import digamma, loggamma
 
 from ._gl import gl_panels
 
@@ -49,6 +51,34 @@ _B2J = [
 
 # B_{2j}/(2j)!; read-only after import.
 _B2J_FACT = np.array([float(b) / math.factorial(2 * j) for j, b in enumerate(_B2J, 1)])
+
+# Stirling's series for log Gamma and psi (DLMF 5.11.1, 5.11.2) at z + 10: B_{2j}/(2j(2j-1))
+# and B_{2j}/(2j) for j = 8, ..., 1, highest order first for np.polyval.
+_GAMMA_SHIFT = 10
+_LOGGAMMA_COEF = [float(_B2J[j - 1]) / (2 * j * (2 * j - 1)) for j in range(8, 0, -1)]
+_DIGAMMA_COEF = [float(_B2J[j - 1]) / (2 * j) for j in range(8, 0, -1)]
+
+
+def _loggamma(z):
+    """Principal log Gamma(z) for Re z > 0, shaped like z.
+
+    Computed on ``np.atleast_1d(z)``, so a scalar z gives the bits it has in an array.
+    """
+    z0 = np.atleast_1d(np.asarray(z, dtype=complex))
+    w = z0 + _GAMMA_SHIFT
+    series = np.polyval(_LOGGAMMA_COEF, 1.0 / (w * w)) / w
+    out = (w - 0.5) * np.log(w) - w + 0.5 * math.log(2.0 * math.pi) + series
+    out -= sum(np.log(z0 + k) for k in range(_GAMMA_SHIFT))
+    return out.reshape(np.shape(z))[()]
+
+
+def _digamma(x):
+    """psi(x) for real x > 0, shaped like x."""
+    x = np.asarray(x, dtype=float)
+    w = x + _GAMMA_SHIFT
+    v = 1.0 / (w * w)
+    shift = sum(1.0 / (x + k) for k in range(_GAMMA_SHIFT))
+    return np.log(w) - 0.5 / w - v * np.polyval(_DIGAMMA_COEF, v) - shift
 
 
 def _hurwitz_many(s, a: np.ndarray) -> np.ndarray:
@@ -192,7 +222,7 @@ def dirichlet_l(s, D: int):
     out = np.empty(s.shape, dtype=complex)
     at_one = s == 1
     if at_one.any():
-        out[at_one] = -(chi * digamma(a / q)).sum() / q
+        out[at_one] = -(chi * _digamma(a / q)).sum() / q
     rest = s[~at_one]
     if rest.size:
         step = max(1, _L_BLOCK // q)  # s values per call
@@ -302,7 +332,7 @@ def h_plus(t):
     Equals |Gamma(1/4 + it/2)^2 / Gamma(1/2 + it)|^2 for real t.
     """
     t = np.asarray(t, dtype=float)
-    return np.exp(4.0 * loggamma(0.25 + 0.5j * t).real - 2.0 * loggamma(0.5 + 1j * t).real)
+    return np.exp(4.0 * _loggamma(0.25 + 0.5j * t).real - 2.0 * _loggamma(0.5 + 1j * t).real)
 
 
 def h_watson(t: float, t_g: float) -> float:
@@ -315,10 +345,10 @@ def h_watson(t: float, t_g: float) -> float:
     t = float(t)
     t_g = float(t_g)
     log_h = (
-        4.0 * loggamma(complex(0.25, 0.5 * t)).real
-        - 2.0 * loggamma(complex(0.5, t)).real
-        + 2.0 * loggamma(complex(0.25, 0.5 * (2.0 * t_g + t))).real
-        + 2.0 * loggamma(complex(0.25, 0.5 * (2.0 * t_g - t))).real
-        - 4.0 * loggamma(complex(0.5, t_g)).real
+        4.0 * _loggamma(complex(0.25, 0.5 * t)).real
+        - 2.0 * _loggamma(complex(0.5, t)).real
+        + 2.0 * _loggamma(complex(0.25, 0.5 * (2.0 * t_g + t))).real
+        + 2.0 * _loggamma(complex(0.25, 0.5 * (2.0 * t_g - t))).real
+        - 4.0 * _loggamma(complex(0.5, t_g)).real
     )
     return math.exp(log_h)

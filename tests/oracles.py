@@ -1,8 +1,10 @@
 """Independent oracles used to fix expected values in the tests.
 
 Each oracle deliberately takes a different route from the implementation
-it checks: a second integral representation for the conical function, a
-brute-force group sweep for the quotient distance, direct quadrature for
+it checks: the Mobius action in complex arithmetic and the distance in
+scalars, against the real array forms of ``modsurf.hypgeo``, a second
+integral representation for the conical function, a brute-force group
+sweep for the quotient distance, direct quadrature for
 the inner sine integral, basis enumeration for small transport LPs, plain
 Dirichlet series for L-functions, trial division and complex powers for the
 divisor sums lam_t(n), every tile folded over the whole grid, by its
@@ -23,10 +25,25 @@ from scipy.special import logsumexp
 
 from modsurf._gl import gl_panels
 from modsurf.arithmetic import ClosedGeodesic
-from modsurf.hypgeo import (Point, canonical_sign, distance, fundamental_domain_grid, mobius_apply,
+from modsurf.hypgeo import (Point, UnimodularMatrix, canonical_sign, fundamental_domain_grid,
                             mobius_image, pair_u, reduce)
 from modsurf.specfun import kronecker_symbol
 from modsurf.transform import _kernel_table, ball_tiles, k_of_rho
+
+
+def mobius_apply(g: UnimodularMatrix, z: Point) -> Point:
+    """Apply the Mobius transformation z -> (az + b)/(cz + d) in complex arithmetic."""
+    den = complex(g.c * z.x + g.d, g.c * z.y)
+    num = complex(g.a * z.x + g.b, g.a * z.y)
+    w = num / den
+    return Point(w.real, w.imag)
+
+
+def distance(z: Point, w: Point) -> float:
+    """Hyperbolic distance rho(z, w) = 2 arsinh(|z - w| / (2 sqrt(Im z Im w))), in scalars."""
+    dx = z.x - w.x
+    dy = z.y - w.y
+    return 2.0 * math.asinh(0.5 * math.hypot(dx, dy) / math.sqrt(z.y * w.y))
 
 
 def laplace_conical_p(t: float, u: float, n: int = 4000) -> float:
@@ -64,12 +81,7 @@ def brute_force_surface_distance(z: Point, w: Point, bound: int = 20) -> float:
                 for d in ds:
                     if abs(d) > bound or a * d - b * c != 1:
                         continue
-                    g = mobius_apply(
-                        __import__("modsurf.hypgeo", fromlist=["UnimodularMatrix"])
-                        .UnimodularMatrix(a, b, c, d),
-                        w,
-                    )
-                    best = min(best, distance(z, g))
+                    best = min(best, distance(z, mobius_apply(UnimodularMatrix(a, b, c, d), w)))
     return best
 
 

@@ -24,11 +24,11 @@ from modsurf.arithmetic import (
     save_measure,
 )
 from modsurf.eisenstein import MaassData
-from modsurf.hypgeo import Point, distance, mobius_apply
+from modsurf.hypgeo import Point
 from modsurf.specfun import dirichlet_l
 from modsurf.transport import load_plan
 
-from oracles import cube_root_pell, geodesic_path_points
+from oracles import cube_root_pell, distance, geodesic_path_points, mobius_apply
 
 
 class TestFundamental:

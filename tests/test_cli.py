@@ -195,6 +195,14 @@ class TestMeasureCommands:
         value = float(header[1].rsplit(",", 1)[1])
         assert 0.0 < value < 3.0
 
+    def test_geodesics_near_the_discriminant_envelope(self, tmp_path, monkeypatch):
+        # the fundamental unit of D = 999961 has integers far past the float
+        # range; the length comes from them without a conversion to float
+        (tmp_path / "c.ini").write_text("[experiment]\ndiscriminants = 999961\n"
+                                        "[geodesic]\nsamples_per_unit_length = 1\n")
+        out = tmp_path / "g.csv"
+        assert run(["geodesics", "--config", "c.ini", "--out", str(out)], tmp_path, monkeypatch) == 0
+        assert out.read_text().splitlines()[1] == "999961,3,2977.4580315525845,8934,geodesic_999961.txt"
 
     def test_heegner_default_golden_csv(self, tmp_path, monkeypatch):
         out = tmp_path / "h.csv"

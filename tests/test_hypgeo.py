@@ -14,17 +14,15 @@ from modsurf.hypgeo import (
     DegeneratePointError,
     Point,
     UnimodularMatrix,
-    distance,
     fundamental_domain_grid,
     height,
-    mobius_apply,
     pair_u,
     polar_image,
     reduce,
     surface_distance,
 )
 
-from oracles import brute_force_surface_distance
+from oracles import brute_force_surface_distance, distance, mobius_apply
 
 
 def random_matrix(rng, steps=6) -> UnimodularMatrix:

@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import digamma, loggamma
 
 from modsurf import specfun
 from modsurf._gl import gl_panels
@@ -311,6 +312,33 @@ class TestConicalP:
             tb, ub = np.broadcast_arrays(t, u)
             assert many.shape == tb.shape
             assert all(many[i] == conical_p(float(tb[i]), float(ub[i])) for i in np.ndindex(tb.shape))
+
+
+class TestLogGammaDigamma:
+    # scipy.special is the independent route; the runtime does not import it
+
+    @pytest.mark.parametrize("sigma", [0.25, 0.5])
+    def test_loggamma_against_scipy(self, sigma):
+        # 1e-13 relative, or absolute where |log Gamma| < 1; on the principal
+        # branch the imaginary part reaches about 190 at |t| = 60
+        z = sigma + 1j * np.linspace(-60.0, 60.0, 200001)
+        ref = loggamma(z)
+        assert np.all(np.abs(specfun._loggamma(z) - ref) <= 1e-13 * np.maximum(np.abs(ref), 1.0))
+
+    @pytest.mark.parametrize("q", [7, 1003, 10**6])
+    def test_digamma_at_rationals_against_scipy(self, q):
+        x = np.arange(1, q + 1) / q
+        ref = digamma(x)
+        assert np.all(np.abs(specfun._digamma(x) - ref) <= 1e-13 * np.abs(ref))
+
+    def test_loggamma_keeps_shape_and_bits(self):
+        z = np.array([[0.25 + 3j, 0.5 - 7.5j], [1.0 + 0j, 12.0 + 0.1j]])
+        values = specfun._loggamma(z)
+        assert values.shape == z.shape
+        assert all(values[i] == specfun._loggamma(complex(z[i])) for i in np.ndindex(z.shape))
+        assert np.ndim(specfun._loggamma(0.5 + 1j)) == 0
+        assert abs(specfun._loggamma(1.0)) < 1e-14
+        assert abs(specfun._digamma(1.0) + np.euler_gamma) < 1e-15
 
 
 class TestGammaFactors:

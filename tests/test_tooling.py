@@ -1,12 +1,15 @@
 """Tooling checks: the traced benchmark run finds every function it wraps,
-src imports only at module level, every private constant is read, and the
-README's config example lists every config key."""
+src imports only at module level, the CLI's start imports no scipy, every
+private constant is read, and the README's config example lists every
+config key."""
 
 import ast
 import configparser
 import importlib
 import importlib.util
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -51,6 +54,17 @@ def test_no_imports_inside_functions():
     assert not nested, nested
 
 
+def test_cli_start_imports_no_scipy():
+    # the runtime needs numpy only; scipy is a test extra, the oracle of
+    # specfun's log-gamma and digamma
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import modsurf.cli; "
+            "from modsurf.transform import TransformParams; TransformParams.default(1.0); "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    done = subprocess.run([sys.executable, "-c", code, str(SRC.parent)],
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
+
+
 def test_private_constants_are_read():
     # a private module constant that its own module never reads is a
     # leftover of code that has gone
@@ -73,8 +87,6 @@ _EXPORTED_WITHOUT_CALLER = {
     "h_watson": "the weight of Watson's theorem in the paper",
     "automorphic_kernel": "the kernel the surface mass sums; its caller is still to come",
     "bessel_k_imag": "scalar wrapper of bessel_k_imag_many",
-    "mobius_apply": "the independent scalar route that the test oracles use",
-    "distance": "the independent scalar route that the test oracles use",
     "surface_distance": "Point form of surface_distance_matrix",
     "height": "the cusp height of the paper, a Point form of reduce",
     "dual_lower_bound": "the pair form that the many-form tests compare against",
