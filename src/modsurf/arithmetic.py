@@ -26,6 +26,7 @@ SURFACE_AREA = math.pi / 3.0  # mu(Gamma \ H) for the modular group
 
 _PELL_MAX_PERIOD = 100_000
 _GEODESIC_ATOM_LIMIT = 2_000_000  # geodesic_measure's atoms, counted before sampling
+_TABLE_BLOCK = 65_536  # rows write_table turns into Python floats at a time, not millions
 
 
 class AtomLimitError(ValueError):
@@ -245,6 +246,8 @@ class DiscreteMeasure:
         object.__setattr__(self, "weights", ws)
         if not (len(xs) == len(ys) == len(ws)) or len(xs) == 0:
             raise ValueError("atoms and weights must be nonempty and aligned")
+        if not (np.isfinite(xs).all() and np.isfinite(ys).all() and np.isfinite(ws).all()):
+            raise ValueError("atoms and weights must be finite")
         if np.any(ws <= 0):
             raise ValueError("weights must be positive")
         if abs(ws.sum() - 1.0) > 1e-12:
@@ -266,11 +269,7 @@ def heegner_measure(D: int) -> DiscreteMeasure:
     return DiscreteMeasure(xs, ys, np.full(len(pts), 1.0 / len(pts)), label=f"heegner D={D}")
 
 
-def _apex(f: QuadraticForm, D: int) -> tuple[float, float]:
-    return -f.b / (2.0 * f.a), math.sqrt(D) / (2.0 * abs(f.a))
-
-
-def _flow_param(f: QuadraticForm, D: int, x: float, y: float) -> float:
+def _flow_param(f: QuadraticForm, x: float, y: float) -> float:
     """Signed arclength along the axis of f, zero at the apex.
 
     The parameter increases toward the attracting endpoint
@@ -282,7 +281,7 @@ def _flow_param(f: QuadraticForm, D: int, x: float, y: float) -> float:
     return -sigma * math.log(math.tan(0.5 * theta))
 
 
-def _cycle_arcs(cycle: list[QuadraticForm], D: int):
+def _arc_lengths(cycle: list[QuadraticForm], D: int) -> list[float]:
     """Arc decomposition of a closed geodesic along its reduction cycle.
 
     Between consecutive cycle forms the step matrix (0, -1; 1, m) with
@@ -292,53 +291,35 @@ def _cycle_arcs(cycle: list[QuadraticForm], D: int):
     which keeps the raw coordinates far from the real axis regardless of
     the total length.
 
-    Returns (arcs, total): arcs as (form, arc_length), total their sum,
-    which equals the class's closed-geodesic length.
+    Returns each form's arc length in cycle order; they sum to the class's
+    closed-geodesic length.
     """
-    ell = len(cycle)
-    arcs = []
-    total = 0.0
-    for k in range(ell):
-        f = cycle[k]
-        g = cycle[(k + 1) % ell]
+    lengths = []
+    for f, g in zip(cycle, cycle[1:] + cycle[:1]):
         num = f.b + g.b
         if num % (2 * f.c) != 0:
             raise RuntimeError(f"broken reduction cycle at {f} -> {g}")
         m = num // (2 * f.c)
-        ax, ay = _apex(g, D)
+        ax, ay = -g.b / (2.0 * g.a), math.sqrt(D) / (2.0 * abs(g.a))  # the next apex
         # step matrix (0, -1; 1, m) applied to the next apex
         den = ax * ax + ay * ay + 2.0 * m * ax + m * m
-        bx = (-(ax + m)) / den
-        by = ay / den
-        delta = _flow_param(f, D, bx, by)
+        delta = _flow_param(f, (-(ax + m)) / den, ay / den)
         if delta <= 0:
             raise RuntimeError(f"non-positive arc length at {f}")
-        arcs.append((f, delta))
-        total += delta
-    return arcs, total
+        lengths.append(delta)
+    return lengths
 
 
 def _sample_cycle(cycle: list[QuadraticForm], D: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """n reduced equal-arclength samples along the cycle's closed geodesic."""
-    arcs, total = _cycle_arcs(cycle, D)
-    bounds = np.cumsum([0.0] + [d for _, d in arcs])
-    t = (np.arange(n) + 0.5) * (total / n)
+    """n equal-arclength samples along the cycle's closed geodesic, not yet reduced."""
+    bounds = np.cumsum([0.0] + _arc_lengths(cycle, D))
+    t = (np.arange(n) + 0.5) * (bounds[-1] / n)
     idx = np.searchsorted(bounds, t, side="right") - 1
-    xs = np.empty(n)
-    ys = np.empty(n)
-    r = math.sqrt(D)
-    for k, (f, _delta) in enumerate(arcs):
-        sel = idx == k
-        if not np.any(sel):
-            continue
-        s = t[sel] - bounds[k]
-        sigma = 1.0 if f.a > 0 else -1.0
-        theta = 2.0 * np.arctan(np.exp(-sigma * s))
-        center = -f.b / (2.0 * f.a)
-        radius = r / (2.0 * abs(f.a))
-        xs[sel] = center + radius * np.cos(theta)
-        ys[sel] = radius * np.sin(theta)
-    return hypgeo.reduce_batch(xs, ys)
+    # each sample's arc: its form's a and b, and the arclength from the arc's start
+    a, b = np.array([(f.a, f.b) for f in cycle], dtype=float)[idx].T
+    theta = 2.0 * np.arctan(np.exp(-np.sign(a) * (t - bounds[idx])))
+    radius = math.sqrt(D) / (2.0 * np.abs(a))
+    return -b / (2.0 * a) + radius * np.cos(theta), radius * np.sin(theta)
 
 
 def geodesic_measure(D: int, samples_per_unit_length: int) -> DiscreteMeasure:
@@ -359,15 +340,10 @@ def geodesic_measure(D: int, samples_per_unit_length: int) -> DiscreteMeasure:
     if n * len(cycles) > _GEODESIC_ATOM_LIMIT:
         raise AtomLimitError(f"geodesic measures are limited to {_GEODESIC_ATOM_LIMIT} atoms, "
                              f"D={D} would have {n * len(cycles)}")
-    xs, ys = [], []
-    for cycle in cycles:
-        x, y = _sample_cycle(cycle, D, n)
-        xs.append(x)
-        ys.append(y)
-    xs = np.concatenate(xs)
-    ys = np.concatenate(ys)
-    total = len(xs)
-    return DiscreteMeasure(xs, ys, np.full(total, 1.0 / total), label=f"geodesic D={D}")
+    # each cycle's temporaries are freed before its samples are reduced
+    samples = (hypgeo.reduce_batch(*_sample_cycle(cycle, D, n)) for cycle in cycles)
+    xs, ys = map(np.concatenate, zip(*samples))
+    return DiscreteMeasure(xs, ys, np.full(len(xs), 1.0 / len(xs)), label=f"geodesic D={D}")
 
 
 def haar_discretization(n_x: int, n_levels: int, y_max: float) -> DiscreteMeasure:
@@ -389,12 +365,13 @@ def haar_discretization(n_x: int, n_levels: int, y_max: float) -> DiscreteMeasur
 # Plain-text tables (17 significant digits; exact decimal round-trip)
 
 
-def save_measure(m: DiscreteMeasure, path: str) -> None:
-    """Write a measure as a text table: header line, then rows x y weight."""
+def write_table(path: str, header: str, *columns: np.ndarray) -> None:
+    """Write the '#' header line, then one row per entry of the columns."""
+    row = " ".join(["{:.17g}"] * len(columns)) + "\n"
     with open(path, "w") as fh:
-        fh.write(f"# modsurf-measure label={m.label!r} atoms={len(m)}\n")
-        for x, y, w in zip(m.xs, m.ys, m.weights):
-            fh.write(f"{x:.17g} {y:.17g} {w:.17g}\n")
+        fh.write(f"# {header}\n")
+        for k in range(0, len(columns[0]), _TABLE_BLOCK):
+            fh.writelines(map(row.format, *(c[k:k + _TABLE_BLOCK].tolist() for c in columns)))
 
 
 def read_table(path: str, ncols: int) -> tuple[list[str], np.ndarray]:
@@ -406,11 +383,16 @@ def read_table(path: str, ncols: int) -> tuple[list[str], np.ndarray]:
             if line.startswith("#"):
                 comments.append(line)
             elif line:
-                parts = line.split()
-                if len(parts) != ncols:
-                    raise ValueError(f"malformed row: {line!r} (expected {ncols} columns)")
-                rows.append([float(v) for v in parts])
+                values = [float(v) for v in line.split()]
+                if len(values) != ncols or not all(map(math.isfinite, values)):
+                    raise ValueError(f"malformed row: {line!r} (expected {ncols} finite numbers)")
+                rows.append(values)
     return comments, np.array(rows, dtype=float).reshape(-1, ncols)
+
+
+def save_measure(m: DiscreteMeasure, path: str) -> None:
+    """Write a measure as a text table: header line, then rows x y weight."""
+    write_table(path, f"modsurf-measure label={m.label!r} atoms={len(m)}", m.xs, m.ys, m.weights)
 
 
 def load_measure(path: str) -> DiscreteMeasure:

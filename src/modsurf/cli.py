@@ -11,7 +11,8 @@ stderr).
 The configuration file is flat INI (sections [experiment], [haar],
 [geodesic], [tolerances]); every key has a default, so a config file is
 optional.  CSV goes to --out (default stdout); --json emits the same rows
-as JSON.
+as JSON.  Status lines ([PASS]/[FAIL] and what a command wrote) go to
+stderr, so stdout holds only the rows.
 """
 
 from __future__ import annotations
@@ -96,9 +97,9 @@ class ExperimentConfig:
                 raise ConfigError(f"{f.name} must be finite")
             if f.name.startswith("tol_") and value <= 0:
                 raise ConfigError(f"{f.name} must be positive")
-        if not self.bandwidths or not self.t_values or not self.discriminants:
-            raise ConfigError("bandwidth, t_values and discriminants must each list "
-                              "at least one value")
+        if not (self.bandwidths and self.t_values and self.discriminants and self.eps_list):
+            raise ConfigError("bandwidth, t_values, discriminants and eps_list must each "
+                              "list at least one value")
         if any(T < 1.0 for T in self.bandwidths):
             raise ConfigError("bandwidth T must be at least 1")
         try:
@@ -196,7 +197,8 @@ def _status(ok: bool, label: str) -> bool:
 
 # ---------------------------------------------------------------------------
 # Subcommands: each handler cmd_<name> takes (cfg, args) and returns
-# (rows, ok); main writes the rows under the command's COMMANDS columns.
+# (rows, ok); main writes the rows under the command's COMMANDS columns,
+# and what a handler prints goes to stderr.
 
 
 def cmd_transform_check(cfg: ExperimentConfig, args):
@@ -527,8 +529,12 @@ def main(argv=None) -> int:
         cfg = replace(cfg, **{f.name: getattr(args, f.name) for f in fields(cfg)
                               if getattr(args, f.name, None) is not None})
         cfg.validate()
+        if args.out:  # an unwritable --out fails before any status line, and truncates nothing
+            with _writing(args.out), open(args.out, "a"):
+                pass
         # looked up by name at call time, so a replaced module attribute is called
-        rows, ok = globals()["cmd_" + args.command.replace("-", "_")](cfg, args)
+        with contextlib.redirect_stdout(sys.stderr):
+            rows, ok = globals()["cmd_" + args.command.replace("-", "_")](cfg, args)
         _emit(rows, COMMANDS[args.command][1], args.out, args.json)
     except (ConfigError, AtomLimitError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -250,6 +250,8 @@ class MaassData:
         object.__setattr__(self, "weyl_sq_diff", wd)
         if len(tf) != len(wd):
             raise ValueError("t_f and weyl_sq_diff must have equal length")
+        if not (np.isfinite(tf).all() and np.isfinite(wd).all()):
+            raise ValueError("t_f and weyl_sq_diff must be finite")
         if len(tf) and (np.any(tf <= 0) or np.any(np.diff(tf) <= 0)):
             raise ValueError("t_f must be positive and strictly increasing")
         if np.any(wd < 0):

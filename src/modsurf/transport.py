@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from . import hypgeo
-from .arithmetic import AtomLimitError, DiscreteMeasure, read_table
+from .arithmetic import AtomLimitError, DiscreteMeasure, read_table, write_table
 from .hypgeo import Point, surface_distance_matrix, surface_distance_to_point
 
 _COST_SIZE_LIMIT = 4 * 10**8  # entries
@@ -466,15 +466,17 @@ def best_dual_lower_bound(m1: DiscreteMeasure, m2: DiscreteMeasure) -> float:
 
 def save_plan(p: TransportPlan, path: str) -> None:
     """Write nonzero plan entries as rows "i j mass" (17 significant digits)."""
-    with open(path, "w") as fh:
-        fh.write(f"# modsurf-plan value={p.value:.17g} shape={p.plan.shape[0]}x{p.plan.shape[1]}\n")
-        for i, j in zip(*np.nonzero(p.plan)):
-            fh.write(f"{i} {j} {p.plan[i, j]:.17g}\n")
+    rows, cols = p.plan.shape
+    i, j = np.nonzero(p.plan)
+    write_table(path, f"modsurf-plan value={p.value:.17g} shape={rows}x{cols}", i, j, p.plan[i, j])
 
 
 def load_plan(path: str, shape: tuple[int, int]) -> TransportPlan:
     """Read a plan written by :func:`save_plan`; indices must be integers within ``shape``."""
-    comments, rows = read_table(path, 3)
+    try:
+        comments, rows = read_table(path, 3)
+    except ValueError as exc:  # each error of a plan file names the plan row
+        raise ValueError(f"plan row rejected: {exc}") from exc
     value = float("nan")
     for line in comments:
         if "value=" in line:

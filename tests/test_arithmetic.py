@@ -251,6 +251,16 @@ class TestMeasureInvariants:
         with pytest.raises(ValueError):
             DiscreteMeasure(np.array([0.9]), np.array([1.0]), np.array([1.0]))
 
+    @pytest.mark.parametrize("xs, ys, ws", [
+        ([math.nan, 0.0], [2.0, 2.0], [0.5, 0.5]),
+        ([0.0, 0.0], [2.0, math.inf], [0.5, 0.5]),
+        ([0.0, 0.1], [2.0, 2.0], [1.0, math.nan]),
+    ], ids=["x-nan", "y-inf", "weight-nan"])
+    def test_rejects_non_finite(self, xs, ys, ws):
+        # a NaN passes every comparison, so the order and mass checks alone let it through
+        with pytest.raises(ValueError, match="finite"):
+            DiscreteMeasure(np.array(xs), np.array(ys), np.array(ws))
+
 
 class TestSerialisation:
     def test_round_trip_exact(self, tmp_path):
@@ -308,6 +318,13 @@ class TestReadTable:
         path.write_text(f"# header\n{row}\n")
         with pytest.raises(ValueError, match="malformed row"):
             loader(str(path))
+
+    @pytest.mark.parametrize("row", ["nan 2 0.5", "0 inf 1", "0 2 -inf", "0 2 NaN"])
+    def test_rejects_non_finite(self, tmp_path, row):
+        path = tmp_path / "t.txt"
+        path.write_text(f"# header\n0 2 0.5\n{row}\n")
+        with pytest.raises(ValueError, match="malformed row"):
+            read_table(str(path), 3)
 
 
 class TestQuadraticFormType:

@@ -150,7 +150,8 @@ class TestWeylCompare:
                    tmp_path, monkeypatch) == 0
         golden = DATA / "weyl_compare_exempt_negative_t"
         assert out.read_bytes() == golden.with_suffix(".csv").read_bytes()
-        assert capsys.readouterr().out == golden.with_suffix(".stdout").read_text()
+        # the status lines go to stderr
+        assert capsys.readouterr().err == golden.with_suffix(".stdout").read_text()
 
     def test_json_mirror(self, tmp_path, monkeypatch):
         cfgp = tmp_path / "c.ini"
@@ -162,6 +163,14 @@ class TestWeylCompare:
         rows = json.loads(out.read_text())
         assert len(rows) == 3
         assert abs(rows[0]["ratio"] - 1.0) < 1e-3
+
+    def test_json_on_stdout_parses(self, tmp_path, monkeypatch, capsys):
+        # without --out, stdout holds the rows alone and the status lines go to stderr
+        (tmp_path / "c.ini").write_text("[experiment]\ndiscriminants = -7\n")
+        assert run(["weyl-compare", "--config", "c.ini", "--json"], tmp_path, monkeypatch) == 0
+        captured = capsys.readouterr()
+        assert len(json.loads(captured.out)) == 3
+        assert captured.err.startswith("[PASS] D=-7: ")
 
 
 class TestMeasureCommands:
@@ -221,6 +230,13 @@ class TestMeasureCommands:
         assert out.read_bytes() == (DATA / "geodesics_5_13.csv").read_bytes()
         for name in ("geodesic_5.txt", "geodesic_13.txt"):
             assert (tmp_path / name).read_bytes() == (DATA / name).read_bytes(), name
+        # D = 105: four narrow classes with cycles of 4 and 6 forms, so the
+        # samples of each class fall on several arcs
+        (tmp_path / "c3.ini").write_text("[experiment]\ndiscriminants = 105\n"
+                                         "[geodesic]\nsamples_per_unit_length = 20\n")
+        assert run(["geodesics", "--config", "c3.ini"], tmp_path, monkeypatch) == 0
+        name = "geodesic_105.txt"
+        assert (tmp_path / name).read_bytes() == (DATA / name).read_bytes()
         cfg2 = tmp_path / "c2.ini"
         cfg2.write_text("[experiment]\ndiscriminants = -23\n")
         assert run(["heegner", "--config", str(cfg2)], tmp_path, monkeypatch) == 0
@@ -291,7 +307,8 @@ class TestDuke:
         out = tmp_path / "d.csv"
         assert run(["duke", "--out", str(out)], tmp_path, monkeypatch) == 0
         assert out.read_bytes() == (DATA / "duke_default.csv").read_bytes()
-        assert capsys.readouterr().out == (DATA / "duke_default.stdout").read_text()
+        # the status lines go to stderr
+        assert capsys.readouterr().err == (DATA / "duke_default.stdout").read_text()
 
     def test_weyl_exact_rel_on_the_row_scale(self, tmp_path, monkeypatch):
         # D = -24 has a near-zero of the exact value at t = 13.76; on the scale
@@ -328,7 +345,8 @@ class TestDuke:
         assert run(["duke", "--config", "c.ini", "--out", str(out)], tmp_path, monkeypatch) == 0
         golden = DATA / "duke_mixed_geodesic"
         assert out.read_bytes() == golden.with_suffix(".csv").read_bytes()
-        assert capsys.readouterr().out == golden.with_suffix(".stdout").read_text()
+        # the status lines go to stderr
+        assert capsys.readouterr().err == golden.with_suffix(".stdout").read_text()
 
     def test_missing_maass_data_exit_two(self, tmp_path, monkeypatch, capsys):
         code = run(["duke", "--maass-data", str(tmp_path / "absent.txt")],
@@ -367,9 +385,9 @@ class TestDuke:
         code = run(["duke", "--config", str(cfgp), "--maass-data", str(maass),
                     "--out", str(tmp_path / "d.csv")], tmp_path, monkeypatch)
         assert code == 0
-        out = capsys.readouterr().out
-        assert "(partial bound)" in out and "m.txt holds no rows" in out
-        assert "no Maass data supplied" not in out
+        err = capsys.readouterr().err
+        assert "(partial bound)" in err and "m.txt holds no rows" in err
+        assert "no Maass data supplied" not in err
 
 
 class TestWassersteinInput:
@@ -500,16 +518,23 @@ class TestArgumentErrors:
           for argv in (["duke"], ["weyl-compare"], ["geodesics"])),
         # m.txt is valid: the data describes one measure, not the seven defaults
         (["duke", "--maass-data", "m.txt"], ""),
+        # a NaN passes every comparison that the loaders' checks make
+        (["wasserstein", "nan.txt", "nan.txt"], ""),
+        (["duke", "--maass-data", "m-nan.txt"], "[experiment]\ndiscriminants = -4\n"),
+        (["mollify-check"], "[experiment]\neps_list =\n"),
     ], ids=["empty-bandwidth", "empty-t-values", "n-x-zero", "n-levels-negative", "y-max-nan",
             "bandwidth-inf", "seed-negative", "seed-flag-negative", "eps-zero",
             "wasserstein-support", "duke-support", "t-values-zero", "discriminant-envelope",
             "misspelt-key", "unknown-empty-section", "duke-no-discriminants",
             "weyl-compare-no-discriminants", "duke-grid-atoms", "duke-geodesic-atoms",
             "weyl-compare-geodesic-atoms", "geodesics-geodesic-atoms",
-            "duke-maass-data-many-discriminants"])
+            "duke-maass-data-many-discriminants", "wasserstein-nan-measure",
+            "duke-nan-maass-data", "empty-eps-list"])
     def test_bad_input_exit_two(self, argv, ini, tmp_path, monkeypatch, capsys):
         save_measure(haar_discretization(60, 40, 20.0), str(tmp_path / "haar.txt"))
         (tmp_path / "m.txt").write_text("9.53 0.01\n")
+        (tmp_path / "nan.txt").write_text("nan 2 0.5\n0.0 2.0 0.5\n")
+        (tmp_path / "m-nan.txt").write_text("9.53 nan\n")
         (tmp_path / "c.ini").write_text(ini)
         assert run(argv + ["--config", "c.ini"], tmp_path, monkeypatch) == 2
         err = capsys.readouterr().err.splitlines()

@@ -204,6 +204,12 @@ class TestMaassData:
         with pytest.raises(ValueError):
             MaassData.load(str(p))
 
+    @pytest.mark.parametrize("t_f, weyl_sq_diff", [([9.53, math.nan], [0.01, 0.002]),
+                                                   ([9.53], [math.inf])])
+    def test_non_finite_rejected(self, t_f, weyl_sq_diff):
+        with pytest.raises(ValueError, match="finite"):
+            MaassData(np.array(t_f), np.array(weyl_sq_diff))
+
 
 class TestBerryEsseen:
     def test_identical_measures(self):
