@@ -36,7 +36,6 @@ from .eisenstein import (
 )
 from .hypgeo import (
     Point,
-    SurfacePoint,
     UnimodularMatrix,
     height,
     reduce,

@@ -106,21 +106,17 @@ def _is_reduced_indefinite(a: int, b: int, c: int, D: int) -> bool:
 
 def _rho_step(f: QuadraticForm, D: int) -> QuadraticForm:
     """Reduction step (a, b, c) -> (c, b', c') continuing the cycle."""
-    a, b, c = f.a, f.b, f.c
     s = math.isqrt(D)
-    # b' = -b mod 2|c|, shifted into (sqrt(D) - 2|c|, sqrt(D))
-    m = 2 * abs(c)
-    b1 = (-b) % m
-    while b1 + m <= s:
-        b1 += m
-    while b1 > s or (b1 * b1 > D and b1 - m > 0):
-        b1 -= m
-    c1 = (b1 * b1 - D) // (4 * c)
-    return QuadraticForm(c, b1, c1)
+    # b' = -b mod 2|c|, the one in (s - 2|c|, s] with s = isqrt(D)
+    b1 = s - (s + f.b) % (2 * abs(f.c))
+    c1 = (b1 * b1 - D) // (4 * f.c)
+    return QuadraticForm(f.c, b1, c1)
 
 
-def _form_cycles(D: int) -> list[list[QuadraticForm]]:
-    """Cycles of reduced indefinite forms; one cycle per narrow class."""
+@lru_cache(maxsize=64)
+def _form_cycles(D: int) -> tuple[tuple[QuadraticForm, ...], ...]:
+    """Cycles of reduced indefinite forms, one per narrow class; cached, as
+    tuples that no caller can change, for closed_geodesics and geodesic_measure."""
     s = math.isqrt(D)
     reduced = set()
     for b in range(1, s + 1):
@@ -151,8 +147,8 @@ def _form_cycles(D: int) -> list[list[QuadraticForm]]:
             remaining.discard(key)
             cycle.append(f)
             f = _rho_step(f, D)
-        cycles.append(cycle)
-    return cycles
+        cycles.append(tuple(cycle))
+    return tuple(cycles)
 
 
 def class_number(D: int) -> int:
@@ -281,7 +277,7 @@ def _flow_param(f: QuadraticForm, x: float, y: float) -> float:
     return -sigma * math.log(math.tan(0.5 * theta))
 
 
-def _arc_lengths(cycle: list[QuadraticForm], D: int) -> list[float]:
+def _arc_lengths(cycle: tuple[QuadraticForm, ...], D: int) -> list[float]:
     """Arc decomposition of a closed geodesic along its reduction cycle.
 
     Between consecutive cycle forms the step matrix (0, -1; 1, m) with
@@ -310,7 +306,7 @@ def _arc_lengths(cycle: list[QuadraticForm], D: int) -> list[float]:
     return lengths
 
 
-def _sample_cycle(cycle: list[QuadraticForm], D: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+def _sample_cycle(cycle: tuple[QuadraticForm, ...], D: int, n: int) -> tuple[np.ndarray, ...]:
     """n equal-arclength samples along the cycle's closed geodesic, not yet reduced."""
     bounds = np.cumsum([0.0] + _arc_lengths(cycle, D))
     t = (np.arange(n) + 0.5) * (bounds[-1] / n)

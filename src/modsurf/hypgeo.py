@@ -8,9 +8,9 @@ standard fundamental domain, the quotient distance, cusp height, geodesic
 polar coordinates, and an exact-in-measure quadrature grid over the
 fundamental domain.
 
-Reduction has one implementation, the array function ``_gauss_reduce``,
-which also returns the reducing matrices; ``reduce_batch`` keeps only the
-coordinates, and ``reduce`` wraps it for one Point and its matrix.
+Reduction has one implementation, ``reduce_batch``, which works on
+coordinate arrays and returns coordinates only; ``reduce`` wraps it for
+one Point.
 
 The orbit geometry has one array form, used by every module of the
 package: ``mobius_image`` gives the image of a point array under a matrix
@@ -88,30 +88,10 @@ GEN_S = UnimodularMatrix(0, -1, 1, 0)
 GEN_T = UnimodularMatrix(1, 1, 0, 1)
 
 
-@dataclass(frozen=True)
-class SurfacePoint:
-    """A point reduced to the standard SL(2, Z) fundamental domain.
-
-    Invariants: -1/2 <= x < 1/2 and x^2 + y^2 >= 1, with x <= 0 on the
-    unit-circle boundary arc.  ``reducing_matrix`` maps the original input
-    point to ``point``.
-    """
-
-    point: Point
-    reducing_matrix: UnimodularMatrix
-
-
-def reduce(z: Point) -> SurfacePoint:
-    """Reduce a point to the standard fundamental domain by ``_gauss_reduce``.
-
-    The first translation n = floor(x + 1/2) is taken in Python integers,
-    so the matrix stays exact for any finite x.  Raises DegeneratePointError
-    as ``_gauss_reduce`` does.
-    """
-    n = math.floor(z.x + 0.5)
-    x, y, *m = _gauss_reduce([z.x], [z.y])
-    g = UnimodularMatrix(*(int(v[0]) for v in m)) @ UnimodularMatrix(1, -n, 0, 1)
-    return SurfacePoint(Point(float(x[0]), float(y[0])), g)
+def reduce(z: Point) -> Point:
+    """The representative of z in the standard fundamental domain, by ``reduce_batch``."""
+    x, y = reduce_batch([z.x], [z.y])
+    return Point(float(x[0]), float(y[0]))
 
 
 def canonical_sign(a: int, b: int, c: int, d: int) -> tuple[int, int, int, int]:
@@ -131,38 +111,35 @@ NEIGHBOR_MATS = _neighbor_tuples(2)
 
 def surface_distance(z: Point, w: Point) -> float:
     """Distance on the modular surface: min over gamma of rho(z, gamma w)."""
-    rw = reduce(w).point
+    rw = reduce(w)
     return float(surface_distance_to_point(np.array([rw.x]), np.array([rw.y]), z)[0])
 
 
 def height(z: Point) -> float:
     """Cusp height Ht(z) = max over gamma of Im(gamma z); equals Im of reduce(z)."""
-    return reduce(z).point.y
+    return reduce(z).y
 
 
 # ---------------------------------------------------------------------------
 # Vectorised variants used by the quadrature and transport layers.
 
 
-def _gauss_reduce(xs, ys):
-    """The one Gauss reduction of point arrays to the fundamental domain.
+def reduce_batch(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The one Gauss reduction: reduced coordinate arrays of the points xs + i ys.
 
     Alternates the translation normalising x into [-1/2, 1/2) with the
     inversion z -> -1/z while |z| < 1.  The boundary tie-break then sends
     x > 0 within ``_ARC_EPS`` of the unit circle to -x (applying S), so
-    representatives are unique.  Returns the reduced x and y and int64
-    arrays a, b, c, d: (a, b; c, d) maps x - floor(x + 1/2) + iy to the
-    reduced point.  The first translation is left out of the matrix, so a
-    huge x cannot overflow it; later ones are below 1/(2 MIN_HEIGHT).
-    Raises DegeneratePointError if some y < 1e-12 or the iteration fails
-    to settle (input numerically on the real axis).
+    representatives are unique: -1/2 <= x < 1/2 and x^2 + y^2 >= 1, with
+    x <= 0 on the unit-circle boundary arc.  Raises DegeneratePointError
+    if some y < 1e-12 or the iteration fails to settle (input numerically
+    on the real axis).
     """
     x = np.array(xs, dtype=float)
     y = np.array(ys, dtype=float)
     if np.any(y < MIN_HEIGHT):
         raise DegeneratePointError(f"points with y below {MIN_HEIGHT} are numerically degenerate")
     x -= np.floor(x + 0.5)
-    g = np.multiply.outer([1, 0, 0, 1], np.ones(x.shape, dtype=np.int64))  # a, b, c, d
     for _ in range(_MAX_REDUCE_STEPS):
         r2 = x * x + y * y
         inside = r2 < 1.0 - _BOUNDARY_EPS
@@ -170,22 +147,14 @@ def _gauss_reduce(xs, ys):
             break
         x = np.where(inside, -x / r2, x)
         y = np.where(inside, y / r2, y)
-        g = np.where(inside, np.concatenate((-g[2:], g[:2])), g)  # S g
         # a reduced x is in [-1/2, 1/2), where the translation is 0
-        n = np.where(inside, np.floor(x + 0.5), 0.0)
-        x -= n
-        g[:2] -= n.astype(np.int64) * g[2:]
+        x -= np.where(inside, np.floor(x + 0.5), 0.0)
     else:
         raise DegeneratePointError("reduction did not terminate")
     # on the arc S acts as the reflection x -> -x, keeping y and |z|^2; x < 1/2
     # already, as x - floor(x + 1/2) is exact, so -x lies in (-1/2, 0)
     arc = (r2 <= 1.0 + _ARC_EPS) & (x > 0.0)
-    return np.where(arc, -x, x), y, *np.where(arc, np.concatenate((-g[2:], g[:2])), g)
-
-
-def reduce_batch(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Reduced coordinate arrays of the points xs + i ys (matrices not kept)."""
-    return _gauss_reduce(xs, ys)[:2]
+    return np.where(arc, -x, x), y
 
 
 def mobius_image(a, b, c, d, xs, ys) -> tuple[np.ndarray, np.ndarray]:
@@ -214,7 +183,7 @@ def pair_u(x1, y1, x2, y2):
 
 def surface_distance_to_point(xs: np.ndarray, ys: np.ndarray, z0: Point) -> np.ndarray:
     """Vectorised surface distance from reduced points (xs, ys) to z0."""
-    rz = reduce(z0).point
+    rz = reduce(z0)
     return surface_distance_matrix([rz.x], [rz.y], xs, ys)[0]
 
 

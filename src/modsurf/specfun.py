@@ -335,20 +335,20 @@ def h_plus(t):
     return np.exp(4.0 * _loggamma(0.25 + 0.5j * t).real - 2.0 * _loggamma(0.5 + 1j * t).real)
 
 
-def h_watson(t: float, t_g: float) -> float:
-    """Gamma-quotient weight H(t, t_g) of the mass-equidistribution Weyl sums.
+def h_watson(t, t_g: float):
+    """Gamma-quotient weight H(t, t_g) of the mass-equidistribution Weyl sums, shaped like t.
 
     Positive, even in t; decays like exp(-pi(|t| - 2 t_g)) past |t| = 2 t_g.
     """
     if not t_g > 0:
         raise ValueError("t_g must be positive")
-    t = float(t)
+    t = np.asarray(t, dtype=float)
     t_g = float(t_g)
     log_h = (
-        4.0 * _loggamma(complex(0.25, 0.5 * t)).real
-        - 2.0 * _loggamma(complex(0.5, t)).real
-        + 2.0 * _loggamma(complex(0.25, 0.5 * (2.0 * t_g + t))).real
-        + 2.0 * _loggamma(complex(0.25, 0.5 * (2.0 * t_g - t))).real
+        4.0 * _loggamma(0.25 + 0.5j * t).real
+        - 2.0 * _loggamma(0.5 + 1j * t).real
+        + 2.0 * _loggamma(0.25 + 0.5j * (2.0 * t_g + t)).real
+        + 2.0 * _loggamma(0.25 + 0.5j * (2.0 * t_g - t)).real
         - 4.0 * _loggamma(complex(0.5, t_g)).real
     )
-    return math.exp(log_h)
+    return np.exp(log_h)

@@ -262,8 +262,8 @@ def automorphic_kernel(z: Point, w: Point, params: "TransformParams") -> float:
     cutoff the dropped terms are below 1e-14 of k(0) each.
     """
     tab = _kernel_table(params.T)
-    zr = reduce(z).point
-    wr = reduce(w).point
+    zr = reduce(z)
+    wr = reduce(w)
     a, b, c, d = ball_tiles(zr, 2.0 * math.asinh(math.sqrt(params.u_cutoff))).T
     # u(z, gamma w) = u(gamma^-1 z, w), with gamma^-1 = (d, -b; -c, a)
     u = pair_u(*mobius_image(d, -b, -c, a, zr.x, zr.y), wr.x, wr.y)
@@ -306,7 +306,7 @@ def kernel_mass_on_surface(
     folding every tile's preimage over the whole grid.
     """
     tab = _kernel_table(params.T)
-    zr = reduce(z).point
+    zr = reduce(z)
     xs, ys, wmu = fundamental_domain_grid(n_x, n_levels, _Y_CUT)
 
     rho_tile = tab.rho_at_level(_TILE_LEVEL)

@@ -156,7 +156,7 @@ def full_grid_kernel_mass(z: Point, params, n_x: int = 170, n_levels: int = 170,
     independent route u(z, gamma w) from the Mobius images of the nodes.
     """
     tab = _kernel_table(params.T)
-    zr = reduce(z).point
+    zr = reduce(z)
     xs, ys, wmu = fundamental_domain_grid(n_x, n_levels, y_cut)
     rho_tile = tab.rho_at_level(tile_level)
     mats = ball_tiles(zr, rho_tile)

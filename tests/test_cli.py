@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from modsurf import cli
+from modsurf import arithmetic, cli
 from modsurf.arithmetic import haar_discretization, save_measure
 from modsurf.cli import load_config, main
 
@@ -96,6 +96,14 @@ class TestTransformCheck:
         out = tmp_path / "t.csv"
         assert run(["transform-check", "--out", str(out)], tmp_path, monkeypatch) == 0
         assert out.read_bytes() == (DATA / "transform_check_default.csv").read_bytes()
+
+    def test_three_bandwidths_golden_csv(self, tmp_path, monkeypatch):
+        # consecutive bandwidths add the t_moment_nonincreasing rows
+        (tmp_path / "c.ini").write_text("[experiment]\nbandwidth = 1.0 2.0 5.0\n")
+        out = tmp_path / "t.csv"
+        assert run(["transform-check", "--config", "c.ini", "--out", str(out)],
+                   tmp_path, monkeypatch) == 0
+        assert out.read_bytes() == (DATA / "transform_check_bandwidths.csv").read_bytes()
 
 
 class TestClassNumber:
@@ -203,6 +211,14 @@ class TestMeasureCommands:
         assert header[0] == "file1,file2,W1"
         value = float(header[1].rsplit(",", 1)[1])
         assert 0.0 < value < 3.0
+
+    def test_geodesics_enumerate_cycles_once(self, tmp_path, monkeypatch):
+        # closed_geodesics and geodesic_measure share one enumeration per D
+        arithmetic._form_cycles.cache_clear()
+        (tmp_path / "c.ini").write_text("[experiment]\ndiscriminants = 5 13 105\n")
+        assert run(["geodesics", "--config", "c.ini"], tmp_path, monkeypatch) == 0
+        info = arithmetic._form_cycles.cache_info()
+        assert (info.misses, info.hits) == (3, 3)
 
     def test_geodesics_near_the_discriminant_envelope(self, tmp_path, monkeypatch):
         # the fundamental unit of D = 999961 has integers far past the float
@@ -522,6 +538,8 @@ class TestArgumentErrors:
         (["wasserstein", "nan.txt", "nan.txt"], ""),
         (["duke", "--maass-data", "m-nan.txt"], "[experiment]\ndiscriminants = -4\n"),
         (["mollify-check"], "[experiment]\neps_list =\n"),
+        (["duke"], "[haar]\ny_max = 1.5\n"),
+        (["transform-check"], "[tolerances]\nkint = 0\n"),
     ], ids=["empty-bandwidth", "empty-t-values", "n-x-zero", "n-levels-negative", "y-max-nan",
             "bandwidth-inf", "seed-negative", "seed-flag-negative", "eps-zero",
             "wasserstein-support", "duke-support", "t-values-zero", "discriminant-envelope",
@@ -529,7 +547,7 @@ class TestArgumentErrors:
             "weyl-compare-no-discriminants", "duke-grid-atoms", "duke-geodesic-atoms",
             "weyl-compare-geodesic-atoms", "geodesics-geodesic-atoms",
             "duke-maass-data-many-discriminants", "wasserstein-nan-measure",
-            "duke-nan-maass-data", "empty-eps-list"])
+            "duke-nan-maass-data", "empty-eps-list", "y-max-below-two", "tolerance-zero"])
     def test_bad_input_exit_two(self, argv, ini, tmp_path, monkeypatch, capsys):
         save_measure(haar_discretization(60, 40, 20.0), str(tmp_path / "haar.txt"))
         (tmp_path / "m.txt").write_text("9.53 0.01\n")

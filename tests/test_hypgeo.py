@@ -37,6 +37,12 @@ def random_point(rng) -> Point:
     return Point(float(rng.uniform(-2, 2)), float(np.exp(rng.uniform(-1.5, 2.0))))
 
 
+def interior_point(rng) -> Point:
+    """A point of F at least 0.05 inside its edges and above its floor arc."""
+    x = float(rng.uniform(-0.45, 0.45))
+    return Point(x, math.sqrt(1.0 - x * x) + float(rng.uniform(0.05, 2.0)))
+
+
 class TestMobius:
     def test_inversion_fixes_i(self):
         assert mobius_apply(GEN_S, Point(0, 1)) == Point(0.0, 1.0)
@@ -92,31 +98,37 @@ class TestDistanceAndU:
 
 class TestReduce:
     def test_translation_case(self):
-        r = reduce(Point(5, 1))
-        assert (r.point.x, r.point.y) == (0.0, 1.0)
-        assert (r.reducing_matrix.a, r.reducing_matrix.b) == (1, -5)
+        assert reduce(Point(5, 1)) == Point(0.0, 1.0)
+        # translations of a point inside F reduce back to it
+        w = Point(0.2, 1.5)
+        for n in (-7, -1, 1, 5):
+            r = reduce(mobius_apply(UnimodularMatrix(1, n, 0, 1), w))
+            assert abs(r.x - w.x) <= 1e-12 and abs(r.y - w.y) <= 1e-12
 
     def test_inversion_case(self):
         r = reduce(Point(0.1, 0.1))
-        np.testing.assert_allclose((r.point.x, r.point.y), (0.0, 5.0), atol=1e-12)
+        np.testing.assert_allclose((r.x, r.y), (0.0, 5.0), atol=1e-12)
 
     def test_already_reduced(self):
-        r = reduce(Point(0.2, 1.5))
-        assert r.point == Point(0.2, 1.5)
-        assert r.reducing_matrix == hg.IDENTITY
+        assert reduce(Point(0.2, 1.5)) == Point(0.2, 1.5)
+        # every point inside F is its own representative, bit for bit
+        rng = np.random.default_rng(13)
+        for _ in range(100):
+            w = interior_point(rng)
+            assert reduce(w) == w
 
-    def test_matrix_maps_input_to_output(self):
+    def test_word_images_reduce_back(self):
+        # the orbit check: gamma w reduces back to w for w inside F
         rng = np.random.default_rng(3)
         for _ in range(50):
-            z = random_point(rng)
-            r = reduce(z)
-            w = mobius_apply(r.reducing_matrix, z)
-            np.testing.assert_allclose((w.x, w.y), (r.point.x, r.point.y), atol=1e-12)
+            w = interior_point(rng)
+            r = reduce(mobius_apply(random_matrix(rng), w))
+            assert abs(r.x - w.x) <= 1e-12 and abs(r.y - w.y) <= 1e-12
 
     def test_invariants(self):
         rng = np.random.default_rng(4)
         for _ in range(200):
-            p = reduce(random_point(rng)).point
+            p = reduce(random_point(rng))
             assert -0.5 <= p.x < 0.5
             assert p.x * p.x + p.y * p.y >= 1.0 - 1e-14
             if abs(p.x * p.x + p.y * p.y - 1.0) < 1e-14:
@@ -125,8 +137,8 @@ class TestReduce:
     def test_idempotent(self):
         rng = np.random.default_rng(5)
         for _ in range(100):
-            p = reduce(random_point(rng)).point
-            q = reduce(p).point
+            p = reduce(random_point(rng))
+            q = reduce(p)
             assert math.hypot(p.x - q.x, p.y - q.y) <= 1e-12
 
     def test_degenerate_rejected(self):
@@ -137,20 +149,28 @@ class TestReduce:
         # MIN_HEIGHT = 1e-12 is the edge: on it a point reduces, below it raises
         for x in (0.3, -0.41, 1e-12, 0.0):
             r = reduce(Point(x, 1e-12))
-            assert -0.5 <= r.point.x < 0.5 and r.point.y >= math.sqrt(3.0) / 2.0
-            # the forward map cancels in c x + d here; the inverse is well conditioned
-            v = mobius_apply(r.reducing_matrix.inverse(), r.point)
-            assert abs(v.x - x) < 1e-15 and abs(v.y / 1e-12 - 1.0) < 1e-6
+            assert -0.5 <= r.x < 0.5 and r.y >= math.sqrt(3.0) / 2.0
+        # the orbit check at the edge: T^n S maps w = 2^39 i to n + 2^-39 i
+        # (y = 1.8e-12) exactly, and that image reduces back to w
+        w = Point(0.0, 2.0**39)
+        for n in (-3, 0, 1, 7):
+            z = mobius_apply(UnimodularMatrix(n, -1, 1, 0), w)
+            assert z == Point(float(n), 2.0**-39)
+            r = reduce(z)
+            assert abs(r.x - w.x) <= 1e-12 and abs(r.y - w.y) <= 1e-12
         with pytest.raises(DegeneratePointError):
             reduce(Point(0.3, 9.9e-13))
         with pytest.raises(DegeneratePointError):
             hg.reduce_batch(np.array([0.0, 0.3]), np.array([1.0, 9.9e-13]))
 
-    def test_huge_x_matrix_exact(self):
+    def test_huge_x_exact(self):
         # the first translation is exact beyond the int64 range
-        r = reduce(Point(1e19, 1.0))
-        assert r.point == Point(0.0, 1.0)
-        assert r.reducing_matrix == UnimodularMatrix(1, -10**19, 0, 1)
+        assert reduce(Point(1e19, 1.0)) == Point(0.0, 1.0)
+        # the orbit check: T^n w for n up to 10^19 reduces back to w
+        w = Point(0.0, 1.5)
+        for n in (10**19, -(10**19), 2**62 + 2**12):
+            r = reduce(mobius_apply(UnimodularMatrix(1, n, 0, 1), w))
+            assert abs(r.x - w.x) <= 1e-12 and abs(r.y - w.y) <= 1e-12
 
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(6)
@@ -158,7 +178,7 @@ class TestReduce:
         ys = np.exp(rng.uniform(-1.5, 2.0, 100))
         bx, by = hg.reduce_batch(xs, ys)
         for i in range(100):
-            p = reduce(Point(xs[i], ys[i])).point
+            p = reduce(Point(xs[i], ys[i]))
             assert math.hypot(p.x - bx[i], p.y - by[i]) < 1e-12
 
 
@@ -181,8 +201,8 @@ class TestSurfaceDistance:
     def test_random_pairs_match_brute_force(self):
         rng = np.random.default_rng(8)
         for _ in range(15):
-            z = reduce(random_point(rng)).point
-            w = reduce(random_point(rng)).point
+            z = reduce(random_point(rng))
+            w = reduce(random_point(rng))
             assert abs(surface_distance(z, w) - brute_force_surface_distance(z, w)) < 1e-12
 
     def test_symmetry_and_triangle(self):
@@ -256,23 +276,27 @@ BOUNDARY = st.one_of(
 )
 
 
+# points strictly inside the fundamental domain, which the words move off it
+INTERIOR = st.builds(lambda x, h: (x, math.sqrt(1.0 - x * x) + h),
+                     st.floats(-0.45, 0.45), st.floats(0.05, 1.5))
+
+
 class TestReduceProperties:
-    """reduce and reduce_batch agree and land in F on boundary points and their images."""
+    """reduce and reduce_batch agree and land in F on boundary points and their
+    images, and images of interior points reduce back to them."""
 
     @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(st.lists(BOUNDARY, min_size=1, max_size=4), WORDS)
-    def test_agree_and_land_in_domain(self, pts, word):
+    @given(st.lists(BOUNDARY, min_size=1, max_size=4), st.lists(INTERIOR, min_size=1, max_size=4),
+           WORDS)
+    def test_agree_and_land_in_domain(self, pts, inner, word):
         g = hg.IDENTITY
         for h in word:
             g = g @ h
         moved = [mobius_apply(g, Point(x, y)) for x, y in pts]
         bx, by = hg.reduce_batch(np.array([p.x for p in moved]), np.array([p.y for p in moved]))
         for p, x, y in zip(moved, bx, by):
-            sp = reduce(p)
-            r = sp.point
+            r = reduce(p)
             assert (r.x, r.y) == (x, y)
-            w = mobius_apply(sp.reducing_matrix, p)
-            assert abs(w.x - r.x) <= 1e-12 and abs(w.y - r.y) <= 1e-12
             for px, py in ((r.x, r.y), (x, y)):
                 assert -0.5 <= px < 0.5
                 assert px * px + py * py >= 1.0 - 1e-14
@@ -282,7 +306,10 @@ class TestReduceProperties:
                 # under S T^-3 S T^-1, see test_arc_tie_break_off_the_arc)
                 if px * px + py * py <= 1.0 + hg._ARC_EPS:
                     assert px <= 0.0
-
+        # the orbit check: g w reduces back to w for w inside F
+        for x, y in inner:
+            r = reduce(mobius_apply(g, Point(x, y)))
+            assert abs(r.x - x) <= 1e-12 and abs(r.y - y) <= 1e-12
 
     def test_arc_tie_break_off_the_arc(self):
         # S T^-3 S T^-1 moves the corner to a point that reduces 2.2e-15
@@ -293,10 +320,10 @@ class TestReduceProperties:
         z = mobius_apply(g, Point(-0.5, math.sqrt(3.0) / 2.0))
         r = reduce(z)
         bx, by = hg.reduce_batch(np.array([z.x]), np.array([z.y]))
-        assert abs(r.point.x + 0.5) < 1e-15 and r.point.x < 0.0
-        assert (bx[0], by[0]) == (r.point.x, r.point.y)
-        w = mobius_apply(r.reducing_matrix, z)
-        assert math.hypot(w.x - r.point.x, w.y - r.point.y) < 1e-14
+        assert abs(r.x + 0.5) < 1e-15 and r.x < 0.0
+        assert (bx[0], by[0]) == (r.x, r.y)
+        # the orbit check: the image of the corner reduces back to the corner
+        assert math.hypot(r.x + 0.5, r.y - math.sqrt(3.0) / 2.0) < 1e-14
 
 
 class TestHeight:

@@ -371,6 +371,11 @@ class TestGammaFactors:
         b = h_watson(-1.3, 9.5)
         assert abs(a - b) < 1e-10 * a
 
+    def test_h_watson_array_equals_scalar_calls(self):
+        ts = np.linspace(-70.0, 70.0, 141)
+        for t_g in (20.0, 9.5, 3.3):
+            assert np.array_equal(h_watson(ts, t_g), [h_watson(t, t_g) for t in ts.tolist()])
+
     def test_h_watson_frozen(self):
         assert abs(h_watson(0.0, 10.0) - H_WATSON_0_10) < 1e-8 * H_WATSON_0_10
 

@@ -1,7 +1,7 @@
 """Tooling checks: the traced benchmark run finds every function it wraps,
 src imports only at module level, the CLI's start imports no scipy, every
-private constant is read, and the README's config example lists every
-config key."""
+private constant and dataclass field is read, and the README's config
+example lists every config key."""
 
 import ast
 import configparser
@@ -108,6 +108,39 @@ def test_exported_names_have_a_caller():
                 elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                     read.add(node.attr)
     assert exported - read == set(_EXPORTED_WITHOUT_CALLER), sorted(exported - read)
+
+
+# dataclass fields that no code in src or perfbench reads, and why
+_FIELDS_WITHOUT_READER = {
+    "BerryEsseenBound.leading_term": "a term of the paper's bound",
+    "BerryEsseenBound.eisenstein_term": "a term of the paper's bound",
+    "BerryEsseenBound.cuspidal_term": "a term of the paper's bound",
+    "BerryEsseenBound.eisenstein_tail_bound": "a term of the paper's bound",
+    "ClosedGeodesic.form": "the geodesic of a narrow class",
+    "ClosedGeodesic.endpoints": "the geodesic of a narrow class",
+    "ClosedGeodesic.automorph": "the geodesic of a narrow class",
+    "TransportPlan.duals": "the LP certificate that ROADMAP item 9's W1 bracket will read",
+}
+
+
+def _is_dataclass(node):
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               or isinstance(d, ast.Call) and getattr(d.func, "id", None) == "dataclass"
+               for d in node.decorator_list)
+
+
+def test_dataclass_fields_are_read():
+    # a field that nothing reads as an attribute is a value carried for no caller
+    fields, read = set(), set()
+    for path in [*SRC.glob("*.py"), *TRACER.parent.glob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                fields |= {f"{node.name}.{item.target.id}" for item in node.body
+                           if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)}
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    unread = {f for f in fields if f.split(".")[1] not in read}
+    assert unread == set(_FIELDS_WITHOUT_READER), sorted(unread)
 
 
 def test_readme_config_example_lists_every_key():
