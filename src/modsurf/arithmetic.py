@@ -93,8 +93,6 @@ def _reduced_forms_definite(D: int) -> list[QuadraticForm]:
                 continue
             if b < 0 and (-b == a or a == c):
                 continue
-            if math.gcd(math.gcd(a, b), c) != 1:
-                continue
             forms.append(QuadraticForm(a, b, c))
     return sorted(forms, key=lambda f: (f.a, f.b, f.c))
 
@@ -128,11 +126,8 @@ def _form_cycles(D: int) -> tuple[tuple[QuadraticForm, ...], ...]:
                 continue
             for aa in (a, -a):
                 c = ac // aa
-                if not _is_reduced_indefinite(aa, b, c, D):
-                    continue
-                if math.gcd(math.gcd(aa, b), c) != 1:
-                    continue
-                reduced.add((aa, b, c))
+                if _is_reduced_indefinite(aa, b, c, D):
+                    reduced.add((aa, b, c))
     cycles = []
     remaining = set(reduced)
     for start in sorted(reduced):
@@ -389,6 +384,14 @@ def read_table(path: str, ncols: int) -> tuple[list[str], np.ndarray]:
 def save_measure(m: DiscreteMeasure, path: str) -> None:
     """Write a measure as a text table: header line, then rows x y weight."""
     write_table(path, f"modsurf-measure label={m.label!r} atoms={len(m)}", m.xs, m.ys, m.weights)
+
+
+def measure_atoms(path: str) -> int | None:
+    """The N of a measure file's first line '# modsurf-measure ... atoms=N', or None."""
+    with open(path) as fh:
+        head = fh.readline().strip()
+    count = head.rsplit(" atoms=", 1)[-1]
+    return int(count) if head.startswith("# modsurf-measure ") and count.isdigit() else None
 
 
 def load_measure(path: str) -> DiscreteMeasure:

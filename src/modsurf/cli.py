@@ -41,6 +41,7 @@ from .arithmetic import (
     heegner_measure,
     is_fundamental,
     load_measure,
+    measure_atoms,
     require_fundamental,
     save_measure,
 )
@@ -433,14 +434,19 @@ def cmd_mollify_check(cfg: ExperimentConfig, args):
     return rows, all_ok
 
 
+def _read_measure(read, path):
+    try:
+        return read(path)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read measure {path}: {exc}") from exc
+
+
 def cmd_wasserstein(cfg: ExperimentConfig, args):
-    measures = []
-    for path in (args.measure1, args.measure2):
-        try:
-            measures.append(load_measure(path))
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"cannot read measure {path}: {exc}") from exc
-    value, plan = w1_exact(*measures)
+    paths = (args.measure1, args.measure2)
+    atoms = [_read_measure(measure_atoms, path) for path in paths]
+    if None not in atoms:  # the headers' atom counts, before any row is parsed
+        _check_support(*atoms)
+    value, plan = w1_exact(*(_read_measure(load_measure, path) for path in paths))
     if args.plan_out:
         with _writing(args.plan_out):
             save_plan(plan, args.plan_out)

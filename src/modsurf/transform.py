@@ -143,7 +143,6 @@ class _KernelTable:
     """Dense tabulation of k on the geodesic scale for fast interpolation."""
 
     def __init__(self, T: float):
-        self.T = T
         rho_max = 12.0 / T + 3.0
         self.rho = np.linspace(0.0, rho_max, _TABLE_POINTS)
         self.k = np.concatenate([k_of_rho(self.rho[i:i + _TABLE_BLOCK], T)

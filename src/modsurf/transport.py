@@ -4,10 +4,10 @@ The exact distance solves the transportation LP by a primal network simplex
 on strongly feasible spanning trees, which cannot cycle, priced by block
 search; a pivot re-hangs and re-prices only the subtree cut off by the
 leaving arc, and the final potentials are returned as a dual certificate.
-The entropic approximation runs stabilised Sinkhorn scaling down an epsilon
-ladder, then Newton ascent on the dual at the final level, and is debiased
-by the self-transport terms.  Kantorovich-Rubinstein dual lower bounds come
-from an explicit family of clipped-distance Lipschitz functions.
+The entropic approximation runs Newton ascent on the entropic dual at each
+level of an epsilon ladder, and is debiased by the self-transport terms.
+Kantorovich-Rubinstein dual lower bounds come from an explicit family of
+clipped-distance Lipschitz functions.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ class SupportLimitError(AtomLimitError):
 
 
 class SinkhornWarning(RuntimeWarning):
-    """Sinkhorn iterations stopped above the marginal tolerance."""
+    """An entropic plan stopped above the marginal tolerance."""
 
 
 @dataclass(frozen=True)
@@ -262,13 +262,15 @@ def _warn_violation(pi, a, b):
 
 
 def _newton_dual(a, b, cost, eps, f, g):
-    """Entropic plan at ``eps`` by Newton ascent on the dual from potentials (f, g).
+    """Entropic plan at ``eps`` and its potentials, by Newton ascent on the dual from (f, g).
 
     The dual <a, f> + <b, g> - eps * sum(pi), with
     pi_ij = a_i b_j exp((f_i + g_j - c_ij) / eps), has gradient
-    (a - pi 1, b - pi^T 1) and Hessian -(1/eps) [[diag pi 1, pi], [pi^T, diag pi^T 1]]
-    (Brauer, Clason, Lorenz & Wirth 2017).  The dense solve takes a ridge of
-    1e-12 times the largest diagonal entry, as pi is numerically sparse; the
+    (a - pi 1, b - pi^T 1) and Hessian -(1/eps) [[diag r, pi], [pi^T, diag c]]
+    with r = pi 1, c = pi^T 1 (Brauer, Clason, Lorenz & Wirth 2017).  The
+    Newton system takes a ridge of 1e-12 times the largest of r and c, as pi
+    is numerically sparse, and is solved by eliminating the rows: the Schur
+    complement diag(c) - pi^T diag(r)^-1 pi on the columns is n x n.  The
     null direction (1, -1) is orthogonal to the gradient.  Armijo
     backtracking sums the dual's increase term by term, since the
     difference of two dual values cancels.  The loop stops at a violation
@@ -276,8 +278,8 @@ def _newton_dual(a, b, cost, eps, f, g):
     sum_ij pi_ij (|f_i| + |g_j| + c_ij) / eps, about 1e-12 at reg = 1e-4),
     or when backtracking falls below a step of 1e-10.  Exponents are capped
     at 300, so that no sum over the plan of a long trial step overflows.
+    Returns (pi, f, g).
     """
-    m = len(a)
     logab = np.log(a)[:, None] + np.log(b)[None, :]
 
     def plan(f, g):
@@ -286,71 +288,35 @@ def _newton_dual(a, b, cost, eps, f, g):
     pi = plan(f, g)
     for _ in range(500):  # step bound; the stopping rules end the loop long before it
         r, c = pi.sum(axis=1), pi.sum(axis=0)
-        grad = np.r_[a - r, b - c]
+        ga, gb = a - r, b - c
         floor = 2.0**-53 * (r @ np.abs(f) + c @ np.abs(g) + float((pi * cost).sum())) / eps
-        if max(np.abs(grad[:m]).sum(), np.abs(grad[m:]).sum()) < max(1e-13, floor):
+        if max(np.abs(ga).sum(), np.abs(gb).sum()) < max(1e-13, floor):
             break
-        hess = np.block([[np.diag(r), pi], [pi.T, np.diag(c)]])
-        hess[np.diag_indices_from(hess)] += 1e-12 * max(r.max(), c.max())
-        step = eps * np.linalg.solve(hess, grad)
-        slope, ascent = float(grad @ step), float(a @ step[:m] + b @ step[m:])
+        ridge = 1e-12 * max(r.max(), c.max())
+        r, c = r + ridge, c + ridge
+        schur = np.diag(c) - pi.T @ (pi / r[:, None])
+        dg = eps * np.linalg.solve(schur, gb - pi.T @ (ga / r))
+        df = (eps * ga - pi @ dg) / r
+        slope, ascent = float(ga @ df + gb @ dg), float(a @ df + b @ dg)
         t = 1.0
         while t >= 1e-10:
-            pi_t = plan(f + t * step[:m], g + t * step[m:])
+            pi_t = plan(f + t * df, g + t * dg)
             if t * ascent - eps * float((pi_t - pi).sum()) >= 1e-4 * t * slope:
                 break
             t *= 0.5
         else:
             break
-        f, g, pi = f + t * step[:m], g + t * step[m:], pi_t
-    return pi
+        f, g, pi = f + t * df, g + t * dg, pi_t
+    return pi, f, g
 
 
 def _sinkhorn_plan_cost(a, b, cost, reg):
-    """Transport cost of the entropic plan: scaling iterations, then Newton.
-
-    Epsilon scaling halves the regularisation down to ``reg``; at each
-    level, the final one included, up to 300 multiplicative Sinkhorn
-    updates run on a rescaled kernel, with the potentials absorbed whenever
-    the scalings drift, so the kernel entries stay bounded even for reg far
-    below the cost scale.  The final level's potentials then start a Newton
-    ascent on the entropic dual (:func:`_newton_dual`), which converges
-    where the scaling iterations crawl.
-    """
-    loga = np.log(a)
-    logb = np.log(b)
-    f = np.zeros(len(a))
-    g = np.zeros(len(b))
-
-    def kernel(eps):
-        return np.exp((f[:, None] + g[None, :] - cost) / eps + loga[:, None] + logb[None, :])
-
+    """Transport cost of the entropic plan at ``reg``, rounded onto the marginals; each
+    level of :func:`_eps_ladder`, from 1 down to ``reg``, runs a Newton ascent on the
+    dual (:func:`_newton_dual`) from the previous level's potentials."""
+    f, g = np.zeros(len(a)), np.zeros(len(b))
     for eps in _eps_ladder(reg):
-        K = kernel(eps)
-        u = np.ones(len(a))
-        v = np.ones(len(b))
-        for it in range(1, 301):
-            u = a / np.maximum(K @ v, 1e-300)
-            v = b / np.maximum(K.T @ u, 1e-300)
-            if it % 10 == 0:
-                drift = max(np.abs(np.log(u)).max(), np.abs(np.log(v)).max())
-                if drift > 30.0:  # absorb scalings into the potentials
-                    f = f + eps * np.log(u)
-                    g = g + eps * np.log(v)
-                    K = kernel(eps)
-                    u = np.ones(len(a))
-                    v = np.ones(len(b))
-                    continue
-                violation = max(
-                    float(np.abs(u * (K @ v) - a).sum()),
-                    float(np.abs(v * (K.T @ u) - b).sum()),
-                )
-                if violation < 1e-8:
-                    break
-        f = f + eps * np.log(np.maximum(u, 1e-300))
-        g = g + eps * np.log(np.maximum(v, 1e-300))
-
-    pi = _newton_dual(a, b, cost, reg, f, g)
+        pi, f, g = _newton_dual(a, b, cost, eps, f, g)
     _warn_violation(pi, a, b)
     pi = _round_to_feasible(pi, a, b)
     return float((pi * cost).sum())
@@ -410,7 +376,7 @@ def w1_sinkhorn(m1: DiscreteMeasure, m2: DiscreteMeasure, reg: float) -> float:
     """
     if reg <= 0:
         raise ValueError("regularisation must be positive")
-    _check_support(len(m1), len(m2))  # the Newton step's dense Hessian has (m + n)^2 entries
+    _check_support(len(m1), len(m2))  # dense m x n plans, and Newton systems of their size
     if m1 is m2 or (len(m1) == len(m2) and np.array_equal(m1.xs, m2.xs)
                     and np.array_equal(m1.ys, m2.ys)
                     and np.array_equal(m1.weights, m2.weights)):

@@ -3,10 +3,11 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from modsurf import arithmetic, cli
-from modsurf.arithmetic import haar_discretization, save_measure
+from modsurf.arithmetic import DiscreteMeasure, haar_discretization, save_measure
 from modsurf.cli import load_config, main
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -441,6 +442,20 @@ class TestWassersteinInput:
         assert code == 2
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and "short.txt" in err and "malformed" in err
+
+    def test_support_guard_reads_the_headers(self, tmp_path, monkeypatch, capsys):
+        # the atoms=N of save_measure's header refuses the pair before any row is parsed
+        for name, n in (("a.txt", 1501), ("b.txt", 600)):
+            m = DiscreteMeasure(np.zeros(n), np.linspace(1.0, 3.0, n), np.full(n, 1.0 / n))
+            save_measure(m, str(tmp_path / name))
+
+        def no_load(path):
+            raise AssertionError("load_measure called before the support guard")
+
+        monkeypatch.setattr(cli, "load_measure", no_load)
+        assert run(["wasserstein", "a.txt", "b.txt"], tmp_path, monkeypatch) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "1501 + 600" in err[0]
 
 
 

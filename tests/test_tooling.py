@@ -1,7 +1,7 @@
 """Tooling checks: the traced benchmark run finds every function it wraps,
 src imports only at module level, the CLI's start imports no scipy, every
-private constant and dataclass field is read, and the README's config
-example lists every config key."""
+private constant and dataclass field is read, every warnings filter names
+its category, and the README's config example lists every config key."""
 
 import ast
 import configparser
@@ -78,6 +78,25 @@ def test_private_constants_are_read():
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
         unread += [f"{path.name}: {name}" for name in sorted(defined - read)]
     assert not unread, unread
+
+
+# the position of the category argument of each warnings filter call
+_CATEGORY_ARG = {"simplefilter": 1, "filterwarnings": 2}
+
+
+def test_no_blanket_warning_filter():
+    # a warnings filter in src names the category it acts on, so no other
+    # warning is silenced with it
+    blanket = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            if (name in _CATEGORY_ARG and len(node.args) <= _CATEGORY_ARG[name]
+                    and all(kw.arg != "category" for kw in node.keywords)):
+                blanket.append(f"{path.name}:{node.lineno}")
+    assert not blanket, blanket
 
 
 # exported names that need no caller in src or perfbench, and why

@@ -378,6 +378,11 @@ class TestSinkhorn:
         m = heegner_measure(-23)
         assert abs(w1_sinkhorn(m, m, 1e-2)) <= 1e-6
 
+    def test_equal_but_distinct_measures(self):
+        m = heegner_measure(-23)
+        copy = DiscreteMeasure(m.xs.copy(), m.ys.copy(), m.weights.copy())
+        assert w1_sinkhorn(m, copy, 1e-2) == 0.0
+
     def test_agreement_with_exact(self):
         rng = np.random.default_rng(35)
         mA = random_measure(rng, 50)
@@ -415,13 +420,16 @@ def haar_pair(seed):
 
 
 class TestSinkhornNewton:
-    """The entropic plan against plain log-domain Sinkhorn, and the final
-    Newton level's convergence on 200-atom instances."""
+    """The entropic plan against plain log-domain Sinkhorn, and the Newton
+    ladder's convergence on 200-atom instances."""
 
-    def test_matches_log_domain_oracle(self):
+    # the Newton step eliminates the rows, so only a non-square plan shows a swapped axis
+    @pytest.mark.parametrize("shape", [(30, 30), (20, 45), (45, 20)],
+                             ids=["30x30", "20x45", "45x20"])
+    def test_matches_log_domain_oracle(self, shape):
         rng = np.random.default_rng(37)
-        mA = random_measure(rng, 30)
-        mB = random_measure(rng, 30)
+        mA = random_measure(rng, shape[0])
+        mB = random_measure(rng, shape[1])
         cost = cost_matrix(mA, mB).entries
         value = _sinkhorn_plan_cost(mA.weights, mB.weights, cost, 0.05)
         assert abs(value - log_sinkhorn(mA.weights, mB.weights, cost, 0.05)) <= 1e-11
