@@ -109,6 +109,8 @@ class ExperimentConfig:
             _check_t(self.t_values)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        if any(abs(t) > 20.0 for t in self.t_values):
+            raise ConfigError("t_values entries must have |t| <= 20, the K_it envelope")
         if self.y_max < 2.0:
             raise ConfigError("y_max must be at least 2")
         if min(self.samples_per_unit_length, self.n_x, self.n_levels, *self.eps_list) <= 0:

@@ -555,6 +555,9 @@ class TestArgumentErrors:
         (["mollify-check"], "[experiment]\neps_list =\n"),
         (["duke"], "[haar]\ny_max = 1.5\n"),
         (["transform-check"], "[tolerances]\nkint = 0\n"),
+        # past |t| = 20 K_it loses accuracy: max |ratio - 1| is 0.99 at t = 25
+        (["weyl-compare"], "[experiment]\nt_values = 25\n"),
+        (["weyl-compare"], "[experiment]\nt_values = 1.0 -200\n"),
     ], ids=["empty-bandwidth", "empty-t-values", "n-x-zero", "n-levels-negative", "y-max-nan",
             "bandwidth-inf", "seed-negative", "seed-flag-negative", "eps-zero",
             "wasserstein-support", "duke-support", "t-values-zero", "discriminant-envelope",
@@ -562,7 +565,8 @@ class TestArgumentErrors:
             "weyl-compare-no-discriminants", "duke-grid-atoms", "duke-geodesic-atoms",
             "weyl-compare-geodesic-atoms", "geodesics-geodesic-atoms",
             "duke-maass-data-many-discriminants", "wasserstein-nan-measure",
-            "duke-nan-maass-data", "empty-eps-list", "y-max-below-two", "tolerance-zero"])
+            "duke-nan-maass-data", "empty-eps-list", "y-max-below-two", "tolerance-zero",
+            "t-above-envelope", "t-far-above"])
     def test_bad_input_exit_two(self, argv, ini, tmp_path, monkeypatch, capsys):
         save_measure(haar_discretization(60, 40, 20.0), str(tmp_path / "haar.txt"))
         (tmp_path / "m.txt").write_text("9.53 0.01\n")

@@ -18,6 +18,7 @@ from modsurf.transport import (
     DEFAULT_DUAL_FAMILY,
     SinkhornWarning,
     SupportLimitError,
+    _eps_ladder,
     _northwest_basis,
     _sinkhorn_plan_cost,
     best_dual_lower_bound,
@@ -441,6 +442,27 @@ class TestSinkhornNewton:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             w1_sinkhorn(mA, mB, 1e-3)
+
+    # each level opens on the marginals, so Newton need not shed the previous level's
+    # excess mass; a x2 ladder whose levels open on the old potentials takes 112 and 156
+    @pytest.mark.parametrize("reg, most", [(1e-3, 60), (1e-4, 80)], ids=["1e-3", "1e-4"])
+    def test_newton_solves_bounded(self, reg, most, monkeypatch):
+        solve, calls = np.linalg.solve, []
+
+        def counted(*args):
+            calls.append(None)
+            return solve(*args)
+
+        monkeypatch.setattr(np.linalg, "solve", counted)
+        mA, mB = haar_pair(7)
+        _sinkhorn_plan_cost(mA.weights, mB.weights, cost_matrix(mA, mB).entries, reg)
+        assert 0 < len(calls) <= most
+
+    @pytest.mark.parametrize("reg", [1e-4, 1e-3, 0.05, 0.3, 1.0, 2.0])
+    def test_eps_ladder_shape(self, reg):
+        levels = _eps_ladder(reg)
+        assert levels[0] == max(1.0, reg) and levels[-1] == reg
+        assert all(big > small and big <= 4.0 * small for big, small in zip(levels, levels[1:]))
 
     def test_reg_1e4_envelope(self):
         mA, mB = haar_pair(9)
