@@ -24,6 +24,8 @@ nodes inside the ball around its preimage.
 from __future__ import annotations
 
 import math
+import os
+import threading
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -151,7 +153,9 @@ class _KernelTable:
         self.u_cutoff = float(math.sinh(0.5 * self.rho_at_level(_CUTOFF_REL)) ** 2)
 
     def eval_u(self, u: np.ndarray) -> np.ndarray:
-        rho = 2.0 * np.arcsinh(np.sqrt(np.maximum(u, 0.0)))
+        rho = np.sqrt(np.maximum(u, 0.0))
+        np.arcsinh(rho, out=rho)
+        rho *= 2.0
         return np.interp(rho, self.rho, self.k, right=0.0)
 
     def rho_at_level(self, rel: float) -> float:
@@ -277,6 +281,7 @@ _SELECT_MARGIN = 1e-9
 # below which a tile is dropped
 _Y_CUT = 50.0
 _TILE_LEVEL = 1e-8
+_FOLD_TILES = 64  # hit tiles per block of the fold, bounding its (tiles x columns) arrays
 
 
 def kernel_mass_on_surface(
@@ -300,9 +305,11 @@ def kernel_mass_on_surface(
     v = 1/y down each column, so the disk, widened by ``_SELECT_MARGIN``,
     meets a column in one range of levels, found in closed form.  On the
     box of these levels u is computed from gamma^-1 z and filtered exactly
-    as over the whole grid, in ascending node order: each dot product sees
-    the same elements in the same order, so the mass is bit-identical to
-    folding every tile's preimage over the whole grid.
+    as over the whole grid, in ascending node order, and summed by numpy,
+    not BLAS.  Blocks of tiles are folded on up to one thread per CPU in
+    the process's affinity mask and the tile sums added in tile order, so
+    the mass is bit-identical to folding every tile's preimage over the
+    whole grid, whatever the thread counts of the fold and of OpenBLAS.
     """
     tab = _kernel_table(params.T)
     zr = reduce(z)
@@ -325,22 +332,44 @@ def kernel_mass_on_surface(
     hit = (c0 < c1) & (cy + r >= ys.min()) & (py * py / (cy + r) <= ys.max())
 
     y2, w2 = ys.reshape(n_levels, n_x), wmu.reshape(n_levels, n_x)
-    mass = 0.0
-    for t in np.flatnonzero(hit):
-        cols = slice(c0[t], c1[t])
-        dx = x_col[cols] - px[t]
-        # the disk's chord in column x runs from y = q / y_top up to y_top
-        y_top = cy[t] + np.sqrt(np.maximum(r[t] * r[t] - dx * dx, 0.0))
-        q = dx * dx + py[t] * py[t]
-        lo = np.ceil((1.0 / y_top - 1.0 / _Y_CUT) / v_step[cols] - 0.5).min()
-        hi = np.floor((y_top / q - 1.0 / _Y_CUT) / v_step[cols] - 0.5).max()
-        # the box of levels lo..hi over these columns holds every candidate;
-        # read row by row, it is in ascending node order as in the full grid
-        box = (slice(max(int(lo), 0), min(int(hi), n_levels - 1) + 1), cols)
-        u = pair_u(px[t], py[t], x_col[cols], y2[box])
-        sel = u <= u_lim
-        if np.any(sel):
-            mass += float(w2[box][sel] @ tab.eval_u(u[sel]))
+    col, tiles = np.arange(n_x), np.flatnonzero(hit)
+    tile_sums, errors = np.empty(len(tiles)), []
+
+    def fold(starts):
+        try:
+            for start in starts:
+                blk = tiles[start:start + _FOLD_TILES, None]
+                # the disk's chord in column x runs from y = q / y_top up to y_top; over
+                # columns c0..c1 the box of levels lo..hi holds every candidate, and read
+                # row by row it is in ascending node order as in the full grid
+                dx = x_col - px[blk]
+                y_top = cy[blk] + np.sqrt(np.maximum(r[blk] * r[blk] - dx * dx, 0.0))
+                q = dx * dx + py[blk] * py[blk]
+                cols_in = (c0[blk] <= col) & (col < c1[blk])
+                lo = np.where(cols_in, np.ceil((1.0 / y_top - 1.0 / _Y_CUT) / v_step - 0.5), np.inf)
+                hi = np.where(cols_in, np.floor((y_top / q - 1.0 / _Y_CUT) / v_step - 0.5), -np.inf)
+                for i, t, l0, l1 in zip(range(start, len(tiles)), blk[:, 0], lo.min(1), hi.max(1)):
+                    cols = slice(c0[t], c1[t])
+                    box = (slice(max(int(l0), 0), min(int(l1), n_levels - 1) + 1), cols)
+                    u = pair_u(px[t], py[t], x_col[cols], y2[box])
+                    sel = u <= u_lim
+                    tile_sums[i] = (w2[box][sel] * tab.eval_u(u[sel])).sum()
+        except Exception as exc:  # raised again by the calling thread after the joins
+            errors.append(exc)
+
+    # this thread and one helper per further CPU each fold every workers-th block
+    blocks = range(0, len(tiles), _FOLD_TILES)
+    workers = min(len(os.sched_getaffinity(0)), len(blocks)) or 1
+    helpers = [threading.Thread(target=fold, args=(blocks[i::workers],)) for i in range(1, workers)]
+    for helper in helpers:
+        helper.start()
+    fold(blocks[0::workers])
+    for helper in helpers:
+        helper.join()
+    if errors:
+        raise errors[0]
+    # np.cumsum adds left to right, tile by tile, where np.sum would add pairwise
+    mass = float(np.cumsum(tile_sums)[-1]) if len(tiles) else 0.0
 
     # cusp tail above _Y_CUT: mu(F(_Y_CUT)) = 1/_Y_CUT times the kernel sup
     # there; K at the probes is the sum over the listed tiles, added tile by

@@ -176,7 +176,7 @@ def full_grid_kernel_mass(z: Point, params, n_x: int = 170, n_levels: int = 170,
         u = tile_u(k, xs, ys)
         sel = u <= u_lim
         if np.any(sel):
-            mass += float(wmu[sel] @ tab.eval_u(u[sel]))
+            mass += float((wmu[sel] * tab.eval_u(u[sel])).sum())
         k_top += tab.eval_u(tile_u(k, top, y_cut))
 
     tail_cusp = float(k_top.max()) / y_cut

@@ -1,12 +1,17 @@
 """Tests for the test-function pair, automorphic kernel, and mollifier."""
 
 import math
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from modsurf import transform as tr
-from modsurf.hypgeo import Point, mobius_image
+from modsurf.hypgeo import Point, mobius_image, pair_u
 from modsurf.transform import (
     TransformParams,
     arsinh_moment,
@@ -106,6 +111,19 @@ class TestKernel:
             p = TransformParams.default(T)
             k0 = k_kernel(0.0, p)
             assert k_kernel(p.u_cutoff, p) < 1e-13 * k0
+
+    @pytest.mark.parametrize("T", [1.0, 2.0])
+    def test_table_interpolates_in_rho(self, T):
+        # 0, the span up to u_cutoff, and on past the table's last rho
+        tab = tr._kernel_table(T)
+        rho_end_u = math.sinh(0.5 * tab.rho[-1]) ** 2
+        u = np.concatenate([[0.0], np.geomspace(1e-12, 2.0 * rho_end_u, 2000),
+                            np.linspace(0.0, tab.u_cutoff, 2001)])
+        before = u.copy()
+        k = tab.eval_u(u)
+        assert np.array_equal(u, before)
+        assert np.array_equal(k, np.interp(2.0 * np.arcsinh(np.sqrt(u)), tab.rho, tab.k, right=0.0))
+        assert k[u > rho_end_u].max() == 0.0 < k[u <= tab.u_cutoff].min()
 
     def test_bandwidth_validation(self):
         with pytest.raises(ValueError):
@@ -219,6 +237,94 @@ class TestKernelMassByPreimageBalls:
             calls.clear()
             tr.kernel_mass_on_surface(z, params_t2, n_x=60, n_levels=60)
             assert len(calls) == 2
+
+
+def _cpus(monkeypatch, n):
+    """Give the process an affinity mask of n CPUs, and fold in blocks of 8 tiles."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+    monkeypatch.setattr(tr, "_FOLD_TILES", 8)
+
+
+class TestKernelMassThreads:
+    """The tile fold on one or more threads: the same bits, never more threads than CPUs."""
+
+    @pytest.mark.parametrize("z", _MASS_POINTS)
+    def test_same_bits_on_any_worker_count(self, z, params_t2, monkeypatch):
+        # 5 workers may be more than the cores; the short switch interval
+        # interleaves the threads' writes to the tile sums finely
+        results = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for n in (1, 2, 5):
+                _cpus(monkeypatch, n)
+                results.append(tr.kernel_mass_on_surface(z, params_t2, n_x=60, n_levels=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [full_grid_kernel_mass(z, params_t2, n_x=60, n_levels=60)] * 3
+
+    def test_same_bits_with_one_openblas_thread(self, params_t2):
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); from modsurf.hypgeo import Point; "
+                "from modsurf.transform import TransformParams, kernel_mass_on_surface as km; "
+                "print([km(Point(float(x), float(y)), TransformParams(2.0), n_x=60, n_levels=60) "
+                "for x, y in zip(sys.argv[2::2], sys.argv[3::2])])")
+        points = [repr(c) for z in _MASS_POINTS for c in (z.x, z.y)]
+        src = Path(__file__).resolve().parent.parent / "src"
+        done = subprocess.run([sys.executable, "-c", code, str(src), *points],
+                              env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+                              capture_output=True, text=True, check=True, timeout=120)
+        here = [tr.kernel_mass_on_surface(z, params_t2, n_x=60, n_levels=60) for z in _MASS_POINTS]
+        assert done.stdout.strip() == repr(here)
+
+    def test_one_cpu_starts_no_thread(self, params_t2, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a thread was made on one CPU")
+
+        _cpus(monkeypatch, 1)
+        monkeypatch.setattr(threading, "Thread", refuse)
+        z = Point(0.1, 4.0)
+        assert (tr.kernel_mass_on_surface(z, params_t2, n_x=60, n_levels=60)
+                == full_grid_kernel_mass(z, params_t2, n_x=60, n_levels=60))
+
+    @pytest.mark.parametrize("n_cpus", [2, 3, 5])
+    def test_threads_never_exceed_the_cpus(self, n_cpus, params_t2, monkeypatch):
+        # pair_u runs once per hit tile, on the thread that folds it, and once
+        # more on the calling thread for the cusp probes; thread objects, not
+        # idents, as a finished thread's ident can be reused
+        started, folding, calls = [], set(), []
+
+        class Counted(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        def traced(*args):
+            folding.add(threading.current_thread())
+            calls.append(1)
+            return pair_u(*args)
+
+        _cpus(monkeypatch, n_cpus)
+        monkeypatch.setattr(threading, "Thread", Counted)
+        monkeypatch.setattr(tr, "pair_u", traced)
+        tr.kernel_mass_on_surface(Point(0.1, 4.0), params_t2, n_x=60, n_levels=60)
+        n_blocks = -(-(len(calls) - 1) // 8)
+        assert n_blocks > 5
+        assert len(started) == n_cpus - 1
+        assert len(folding) == n_cpus
+        assert not any(t.is_alive() for t in started)
+
+    def test_a_helper_threads_error_is_raised(self, params_t2, monkeypatch):
+        caller = threading.get_ident()
+
+        def failing(*args):
+            if threading.get_ident() != caller:
+                raise FloatingPointError("in a helper")
+            return pair_u(*args)
+
+        _cpus(monkeypatch, 2)
+        monkeypatch.setattr(tr, "pair_u", failing)
+        with pytest.raises(FloatingPointError, match="in a helper"):
+            tr.kernel_mass_on_surface(Point(0.1, 4.0), params_t2, n_x=60, n_levels=60)
 
 
 class TestBallTilesComplete:
