@@ -2,8 +2,11 @@
 
 The exact distance solves the transportation LP by a primal network simplex
 on strongly feasible spanning trees, which cannot cycle, priced by block
-search; a pivot re-hangs and re-prices only the subtree cut off by the
-leaving arc, and the final potentials are returned as a dual certificate.
+search.  It starts from a cost-aware tree: a few log-domain Sinkhorn sweeps
+at a coarse epsilon key the cells, a greedy fill in key order gives a forest
+with positive flows, and Prim's rule joins it with zero-flow row arcs.  A
+pivot re-hangs and re-prices only the subtree cut off by the leaving arc, and
+the final potentials are returned as a dual certificate.
 Each epsilon level of the entropic approximation runs one log-domain Sinkhorn
 sweep, then Newton ascent on the dual; self-transport terms debias it.
 Kantorovich-Rubinstein dual lower bounds come from an explicit family of
@@ -27,6 +30,7 @@ _COST_SIZE_LIMIT = 4 * 10**8  # entries
 _SUPPORT_LIMIT = 2000  # combined atom count for w1_exact and w1_sinkhorn
 _RC_TOL = 1e-11  # reduced-cost optimality tolerance
 _PRICING_BLOCK = 4.0  # most cells in a pricing block, in units of sqrt(m n)
+_START_EPS, _START_SWEEPS = 0.05, 10  # Sinkhorn sweeps that key w1_exact's start
 
 
 class SupportLimitError(AtomLimitError):
@@ -89,34 +93,76 @@ def cost_matrix(m1: DiscreteMeasure, m2: DiscreteMeasure) -> CostMatrix:
 # Network simplex
 
 
-def _northwest_basis(a: np.ndarray, b: np.ndarray):
-    """Northwest-corner start as a tree rooted at row 0: (parent, flow, order).
+def _greedy_basis(a: np.ndarray, b: np.ndarray, cost: np.ndarray):
+    """Cost-aware strongly feasible start, a tree rooted at row 0: (parent, flow, order).
 
-    Each cell hangs a new node under the one it shares with the previous
-    cell, the last node added or its parent, so creation order is a preorder.
-    A cell gets zero flow only after a tie, and ties advance the row, so each
-    zero-flow arc is a row's and points toward the root (strong feasibility).
+    _START_SWEEPS log-domain Sinkhorn sweeps at _START_EPS give potentials
+    (f, g).  Cells are filled in ascending order of c_ij - f_i - g_j, each
+    with what its row and column have left; that exhausts one of the two, so
+    no later cell draws on it and the cells with flow form a forest.  Prim's rule
+    joins the forest: the outside row with the smallest key to a tree column
+    hangs, with its component, under that column with zero flow, so every
+    zero-flow arc is a row's and points toward the root.  (A column gets no
+    cell only if its weight is below the marginals' rounding mismatch; it then
+    hangs under row 0 with zero flow.)  ``order`` is the tree's preorder.
     """
-    m, n = len(a), len(b)
-    parent, flow, order = [-1] * (m + n), np.zeros(m + n), [0]
-    ra, rb = a.copy(), b.copy()
-    i = j = 0
-    node, parent[m] = m, 0  # column 0 hangs under row 0
+    m, n = cost.shape
+    g = np.zeros(n)
+    for _ in range(_START_SWEEPS):
+        f, g = _sweep(a, b, cost, _START_EPS, g)
+
+    def key(j):  # c_ij - f_i - g_j of columns j, built only while needed
+        return cost[:, j] - f[:, None] - g[j]
+
+    adj, left = [[] for _ in range(m + n)], a.tolist() + b.tolist()
+    cells, step = np.argsort(key(slice(None)), axis=None), 4 * (m + n)
+    for lo in range(0, m * n, step):  # by chunks, skipping cells already exhausted
+        i, j = np.divmod(cells[lo:lo + step], n)
+        rem = np.array(left)
+        live = (rem[i] > 0) & (rem[m + j] > 0)
+        for i, j in zip(i[live].tolist(), (j[live] + m).tolist()):
+            q = min(left[i], left[j])
+            if q > 0:
+                left[i] -= q
+                left[j] -= q
+                adj[i].append((j, q))
+                adj[j].append((i, q))
+    # Prim: ``best`` holds each outside row's smallest key to a tree column, ``arg`` that column
+    best, arg = np.full(m, np.inf), np.zeros(m, dtype=int)
+    intree, stack = np.zeros(m + n, dtype=bool), [0]
     while True:
-        q = min(ra[i], rb[j])
-        flow[node] = q
-        order.append(node)
-        ra[i] -= q
-        rb[j] -= q
-        if i == m - 1 and j == n - 1:
-            return parent, flow, np.array(order)
-        # on ties advance only the row, keeping the basis a tree
-        if j == n - 1 or (i < m - 1 and ra[i] <= rb[j]):
-            i += 1
-            node, parent[i] = i, m + j
+        cols = []
+        while stack:  # the component just joined
+            x = stack.pop()
+            intree[x] = True
+            if x >= m:
+                cols.append(x)
+            stack += [y for y, _ in adj[x] if not intree[y]]
+        if cols and not intree[:m].all():
+            block = key(np.array(cols) - m)
+            k, near = block.argmin(axis=1), block.min(axis=1)
+            low = near < best
+            best[low], arg[low] = near[low], np.array(cols)[k[low]]
+        best[intree[:m]] = np.inf
+        x = int(best.argmin())
+        if best[x] < np.inf:
+            p = int(arg[x])
+        elif not intree.all():  # the tree has no column yet, or a column has no cell
+            x, p = m + int(intree[m:].argmin()), 0
         else:
-            j += 1
-            node, parent[m + j] = m + j, i
+            break
+        adj[x].append((p, 0.0))
+        adj[p].append((x, 0.0))
+        stack = [x]
+    parent, flow, order, stack = [-1] * (m + n), [0.0] * (m + n), [], [0]
+    while stack:
+        x = stack.pop()
+        order.append(x)
+        for y, q in adj[x]:
+            if y != parent[x]:
+                parent[y], flow[y] = x, q
+                stack.append(y)
+    return parent, flow, np.array(order)
 
 
 def _pivot(tree, cost: np.ndarray, ei: int, ej: int) -> None:
@@ -124,6 +170,8 @@ def _pivot(tree, cost: np.ndarray, ei: int, ej: int) -> None:
 
     The last blocking arc met going round the cycle from its apex along the
     entering arc leaves (Cunningham), so the tree stays strongly feasible.
+    Work along the cycle runs on the lists ``parent``, ``flow`` and ``size``;
+    work over the cut subtree on the arrays ``order``, ``pos``, ``pot`` and ``depth``.
     """
     parent, flow, order, pos, pot, depth, size = tree
     m = cost.shape[0]
@@ -143,13 +191,13 @@ def _pivot(tree, cost: np.ndarray, ei: int, ej: int) -> None:
     # the cycle from the apex along the entering arc goes down to its row
     # and up from its column; rows lose flow going down, columns going up
     down = len(up_r)
-    cycle = np.array(up_r[::-1] + up_c, dtype=int)
-    gain = np.where(cycle < m, 1.0, -1.0)
-    gain[:down] *= -1.0
-    losing = np.where(gain < 0, flow[cycle], np.inf)
-    last = len(cycle) - 1 - int(losing[::-1].argmin())
-    delta = losing[last]
-    flow[cycle] += delta * gain
+    cycle = up_r[::-1] + up_c
+    delta, last = math.inf, 0
+    for t, x in enumerate(cycle):
+        if (x < m) == (t < down) and flow[x] <= delta:
+            delta, last = flow[x], t
+    for t, x in enumerate(cycle):
+        flow[x] += -delta if (x < m) == (t < down) else delta
     # the leaving arc cuts off the subtree holding ``sub``, an end of the entering
     # arc; ``path`` climbs from ``sub`` to the arc's child, and up to the apex
     # ``shrink`` loses the subtree, ``grow`` gains it
@@ -163,26 +211,31 @@ def _pivot(tree, cost: np.ndarray, ei: int, ej: int) -> None:
     # the part of x_t = path[t]'s old subtree outside x_{t-1}'s, each in old
     # order; x_t moves from depth depth[sub] - t to depth[att] + 1 + t, and
     # the potentials shift so that the entering arc prices to zero
-    head, below = pos[path], size[path]
-    s, cut = int(head[-1]), int(below[-1])
+    below = [size[x] for x in path]
+    head, cut = pos[path], below[-1]
+    s = int(head[-1])
     part = len(path) - np.cumsum(np.bincount(head - s, minlength=cut)
                                  - np.bincount(head + below - s, minlength=cut + 1)[:cut])
     old = order[s:s + cut]
     depth[old] += depth[att] + 1 - depth[sub] + 2 * part
     pot[old] += np.where((old < m) == (sub < m), rc, -rc)
-    size[shrink] -= cut
-    size[grow] += cut
-    size[path[1:]] = cut - below[:-1]
-    size[sub] = cut
-    flow[path[1:]] = flow[path[:-1]]
-    flow[sub] = delta
-    for x, p in zip(path.tolist(), [att] + path[:-1].tolist()):
-        parent[x] = p
-    # move the subtree to just after ``att`` in the preorder
-    rest = np.concatenate((order[:s], order[s + cut:]))
-    at = int(pos[att]) + 1 - (cut if pos[att] > s else 0)
-    order[:] = np.concatenate((rest[:at], old[np.argsort(part, kind="stable")], rest[at:]))
-    pos[order] = np.arange(len(order))
+    for x in shrink:
+        size[x] -= cut
+    for x in grow:
+        size[x] += cut
+    # each path node hangs under the one before it, with that node's old arc flow
+    for x, p, q, lost in zip(path, [att] + path[:-1], [delta] + [flow[x] for x in path[:-1]],
+                             [0] + below[:-1]):
+        parent[x], flow[x], size[x] = p, q, cut - lost
+    # move the subtree to just after ``att`` in the preorder; only the nodes
+    # between the two places shift
+    moved, at = old[np.argsort(part, kind="stable")], int(pos[att]) + 1
+    if at <= s:
+        lo, hi, pieces = at, s + cut, (moved, order[at:s])
+    else:
+        lo, hi, pieces = s, at, (order[s + cut:at], moved)
+    order[lo:hi] = np.concatenate(pieces)
+    pos[order[lo:hi]] = np.arange(lo, hi)
 
 
 def w1_exact(m1: DiscreteMeasure, m2: DiscreteMeasure) -> tuple[float, TransportPlan]:
@@ -192,7 +245,10 @@ def w1_exact(m1: DiscreteMeasure, m2: DiscreteMeasure) -> tuple[float, Transport
     at row 0: node k's arc to its parent is cell (k, parent - m) for a row,
     (parent, k - m) for a column, with flow ``flow[k]``; ``pot`` (u then v)
     prices tree arcs to zero; k's subtree is ``order[pos[k]:pos[k] + size[k]]``
-    in the preorder ``order``.  Block-search pricing (Kelly & O'Neill 1991, as
+    in the preorder ``order``.  The start is :func:`_greedy_basis`, a greedy
+    basis keyed by Sinkhorn potentials at a coarse epsilon (warm-starting
+    exact transport from an entropic solution, after Schmitzer 2016), so that
+    few pivots remain.  Block-search pricing (Kelly & O'Neill 1991, as
     in LEMON and Bonneel et al. 2011) scans blocks of whole rows, at most
     _PRICING_BLOCK * sqrt(mn) cells or one row each, in cyclic order: the first
     block with a reduced cost below -_RC_TOL sends its most negative cell to
@@ -201,13 +257,13 @@ def w1_exact(m1: DiscreteMeasure, m2: DiscreteMeasure) -> tuple[float, Transport
     _check_support(len(m1), len(m2))
     cost = cost_matrix(m1, m2).entries
     m, n = cost.shape
-    parent, flow, order = _northwest_basis(m1.weights, m2.weights)
-    pot, depth, size = np.zeros(m + n), np.zeros(m + n, dtype=int), np.ones(m + n, dtype=int)
-    for k in order[1:]:
+    parent, flow, order = _greedy_basis(m1.weights, m2.weights, cost)
+    pot, depth, size = np.zeros(m + n), np.zeros(m + n, dtype=int), [1] * (m + n)
+    for k in order[1:].tolist():
         p = parent[k]
         pot[k] = cost[(k, p - m) if k < m else (p, k - m)] - pot[p]
         depth[k] = depth[p] + 1
-    for k in order[:0:-1]:
+    for k in order[:0:-1].tolist():
         size[parent[k]] += size[k]
     tree = (parent, flow, order, np.argsort(order), pot, depth, size)
 
@@ -229,7 +285,7 @@ def w1_exact(m1: DiscreteMeasure, m2: DiscreteMeasure) -> tuple[float, Transport
         raise RuntimeError("transportation simplex exceeded its pivot bound")
 
     plan = np.zeros((m, n))
-    for k in order[1:]:
+    for k in order[1:].tolist():
         p = parent[k]
         plan[(k, p - m) if k < m else (p, k - m)] = flow[k]
     value = float((plan * cost).sum())
@@ -253,9 +309,17 @@ def _eps_ladder(reg):
 
 
 def _lse(z, axis):
-    """log(sum(exp(z))) along ``axis``, shifted by the maximum there."""
+    """log(sum(exp(z))) along ``axis``, shifted by the maximum there; overwrites ``z``."""
     top = z.max(axis=axis)
-    return top + np.log(np.exp(z - np.expand_dims(top, axis)).sum(axis=axis))
+    z -= np.expand_dims(top, axis)
+    return top + np.log(np.exp(z, out=z).sum(axis=axis))
+
+
+def _sweep(a, b, cost, eps, g):
+    """One log-domain Sinkhorn sweep at ``eps`` from column potentials ``g``: the
+    row potentials that put the plan on the rows' marginals, then the columns'."""
+    f = -eps * _lse((g - cost) / eps + np.log(b), axis=1)
+    return f, -eps * _lse((f[:, None] - cost) / eps + np.log(a)[:, None], axis=0)
 
 
 def _warn_violation(pi, a, b):
@@ -321,11 +385,9 @@ def _sinkhorn_plan_cost(a, b, cost, reg):
     level of :func:`_eps_ladder` puts the previous level's plan (about 1/eps too heavy)
     on the rows', then the columns' marginals by one log-domain Sinkhorn sweep, before
     Newton ascent on the dual (:func:`_newton_dual`), which sheds excess mass slowly."""
-    f, g = np.zeros(len(a)), np.zeros(len(b))
+    g = np.zeros(len(b))
     for eps in _eps_ladder(reg):
-        f = -eps * _lse((g - cost) / eps + np.log(b), axis=1)
-        g = -eps * _lse((f[:, None] - cost) / eps + np.log(a)[:, None], axis=0)
-        pi, f, g = _newton_dual(a, b, cost, eps, f, g)
+        pi, f, g = _newton_dual(a, b, cost, eps, *_sweep(a, b, cost, eps, g))
     _warn_violation(pi, a, b)
     pi = _round_to_feasible(pi, a, b)
     return float((pi * cost).sum())

@@ -19,7 +19,7 @@ from modsurf.transport import (
     SinkhornWarning,
     SupportLimitError,
     _eps_ladder,
-    _northwest_basis,
+    _greedy_basis,
     _sinkhorn_plan_cost,
     best_dual_lower_bound,
     best_dual_lower_bound_many,
@@ -234,6 +234,21 @@ def tie_pairs():
     return pairs
 
 
+def repeated_pairs():
+    """4 pairs of 40 and 60 equal-weight atoms drawn with repeats from 12 shared
+    sites: duplicated atoms, zero costs and a degenerate optimum."""
+    rng = np.random.default_rng(46)
+    sites = random_measure(rng, 12)
+    pairs = []
+    for _ in range(4):
+        pair = []
+        for k in (40, 60):
+            pick = rng.integers(0, 12, k)
+            pair.append(DiscreteMeasure(sites.xs[pick], sites.ys[pick], np.full(k, 1.0 / k)))
+        pairs.append(pair)
+    return pairs
+
+
 def assert_dual_certificate(mA, mB):
     value, plan = w1_exact(mA, mB)
     u, v = plan.duals
@@ -243,9 +258,11 @@ def assert_dual_certificate(mA, mB):
 
 
 def assert_strongly_feasible_tree(tree, cost, a, b):
-    """Check the basis tree of w1_exact (see _pivot) and return its count of zero-flow arcs."""
+    """Check the basis tree of w1_exact (see _pivot) and return its count of zero-flow arcs;
+    ``parent``, ``flow`` and ``size`` are lists, the rest arrays."""
     parent, flow, order, pos, pot, depth, size = tree
     m, n = cost.shape
+    assert len(parent) == len(flow) == len(size) == m + n
     assert sorted(order.tolist()) == list(range(m + n)) and order[0] == 0 and parent[0] == -1
     np.testing.assert_array_equal(pos[order], np.arange(m + n))
     # a preorder of a spanning tree: each node hangs under the node before it
@@ -260,7 +277,7 @@ def assert_strongly_feasible_tree(tree, cost, a, b):
     below = np.ones(m + n, dtype=int)
     for k in order[:0:-1]:
         below[parent[k]] += below[k]
-    np.testing.assert_array_equal(size, below)
+    assert size == below.tolist()
     # tree arcs price to zero
     arcs = [(k, parent[k] - m) if k < m else (parent[k], k - m) for k in order[1:]]
     rows, cols = np.array(arcs).T
@@ -302,8 +319,9 @@ class TestNetworkSimplex:
         np.testing.assert_allclose(plan.plan.sum(axis=0), mB.weights, rtol=0, atol=1e-12)
 
     def test_permutation_of_equal_weights(self):
-        # the northwest start alternates positive and zero flows here, so
-        # nearly every pivot is degenerate
+        # the greedy start fills exactly the permutation's cells, each of which
+        # exhausts a row and a column, so its tree holds n - 1 zero-flow arcs
+        # and every pivot is degenerate
         n = 60
         mA, mB, perm = permutation_pair(40, n)
         value, plan = w1_exact(mA, mB)
@@ -312,12 +330,15 @@ class TestNetworkSimplex:
         expected[perm, np.arange(n)] = 1.0 / n
         np.testing.assert_allclose(plan.plan, expected, rtol=0, atol=1e-15)
 
-    def test_northwest_start_is_strongly_feasible(self):
+    def test_greedy_start_is_strongly_feasible(self):
         rng = np.random.default_rng(41)
         cases = [(np.full(5, 0.2), np.full(5, 0.2)),
                  (np.full(4, 0.25), np.full(2, 0.5)),
                  (np.full(2, 0.5), np.full(4, 0.25)),
-                 (np.array([1.0]), np.full(3, 1.0 / 3.0))]
+                 (np.array([1.0]), np.full(3, 1.0 / 3.0)),
+                 (np.full(3, 1.0 / 3.0), np.array([1.0])),
+                 (np.array([1.0]), np.full(7, 1.0 / 7.0)),
+                 (np.full(6, 1.0 / 6.0), np.array([1.0]))]
         for _ in range(20):
             a = rng.integers(1, 4, rng.integers(1, 8)).astype(float)
             b = rng.integers(1, 4, rng.integers(1, 8)).astype(float)
@@ -325,24 +346,43 @@ class TestNetworkSimplex:
         zero_arcs = 0
         for a, b in cases:
             m, n = len(a), len(b)
-            parent, flow, order = _northwest_basis(a, b)
-            assert sorted(order) == list(range(m + n)) and order[0] == 0 and parent[0] == -1
-            # ``order`` is a preorder: each node hangs under the last node or
-            # one of its ancestors (the pop raises IndexError otherwise)
-            chain = [0]
-            for k in order[1:]:
-                while chain[-1] != parent[k]:
-                    chain.pop()
-                chain.append(k)
-            # every zero-flow arc is a row's, so it points toward the root
-            zeros = [k for k in order[1:] if flow[k] == 0.0]
-            assert all(k < m for k in zeros)
-            zero_arcs += len(zeros)
-            plan = tree_plan(parent, flow, m, n)
-            assert plan.min() >= 0.0
-            np.testing.assert_allclose(plan.sum(axis=1), a, rtol=0, atol=1e-15)
-            np.testing.assert_allclose(plan.sum(axis=0), b, rtol=0, atol=1e-15)
+            # the start reads the costs: distinct atoms, atoms from POOL with
+            # repeats (zero costs and exact ties), and one atom repeated
+            distinct = (random_measure(rng, m), random_measure(rng, n))
+            pooled = [DiscreteMeasure(*np.array(POOL)[rng.integers(0, len(POOL), k)].T, w)
+                      for k, w in ((m, a), (n, b))]
+            one = [DiscreteMeasure(np.zeros(k), np.full(k, 2.0), w) for k, w in ((m, a), (n, b))]
+            for mA, mB in (distinct, pooled, one):
+                parent, flow, order = _greedy_basis(a, b, cost_matrix(mA, mB).entries)
+                assert sorted(order) == list(range(m + n)) and order[0] == 0 and parent[0] == -1
+                # ``order`` is a preorder: each node hangs under the last node or
+                # one of its ancestors (the pop raises IndexError otherwise)
+                chain = [0]
+                for k in order[1:]:
+                    while chain[-1] != parent[k]:
+                        chain.pop()
+                    chain.append(k)
+                # every zero-flow arc is a row's, so it points toward the root
+                zeros = [k for k in order[1:] if flow[k] == 0.0]
+                assert all(k < m for k in zeros)
+                zero_arcs += len(zeros)
+                plan = tree_plan(parent, flow, m, n)
+                assert plan.min() >= 0.0
+                np.testing.assert_allclose(plan.sum(axis=1), a, rtol=0, atol=1e-15)
+                np.testing.assert_allclose(plan.sum(axis=0), b, rtol=0, atol=1e-15)
         assert zero_arcs > 0  # the ties above do make degenerate arcs
+
+    def test_column_without_a_cell(self):
+        # a weight below the marginals' rounding mismatch (1 + 1e-16 == 1): row 0
+        # runs out on column 0, so column 1 gets no cell and hangs under row 0
+        mA = DiscreteMeasure(np.array([0.17]), np.array([1.77]), np.array([1.0]))
+        mB = DiscreteMeasure(np.array([0.15, 0.12]), np.array([2.99, 2.96]),
+                             np.array([1.0, 1e-16]))
+        cost = cost_matrix(mA, mB).entries
+        parent, flow, order = _greedy_basis(mA.weights, mB.weights, cost)
+        assert parent == [-1, 0, 0] and flow == [0.0, 1.0, 0.0] and order.tolist() == [0, 2, 1]
+        value, _ = w1_exact(mA, mB)
+        assert abs(value - transport_by_enumeration(mA.weights, mB.weights, cost)) <= 1e-12
 
     @pytest.mark.parametrize("shape, seed", [((12, 9), 42), ((40, 30), 43)])
     def test_dual_certificate(self, shape, seed):
@@ -367,11 +407,28 @@ class TestNetworkSimplex:
             seen["zero_arcs"] += assert_strongly_feasible_tree(tree, cost, a, b)
 
         monkeypatch.setattr(transport, "_pivot", checked_pivot)
-        for mA, mB in ([permutation_pair(40, 60)[:2]] if instance == "permutation" else tie_pairs()):
+        # the cost-aware start solves the permutation in 56 pivots and the ties
+        # in 8, so each run also solves repeated_pairs(), which takes 146
+        family = [permutation_pair(40, 60)[:2]] if instance == "permutation" else tie_pairs()
+        for mA, mB in family + repeated_pairs():
             a, b = mA.weights, mB.weights
             w1_exact(mA, mB)
         # the instances do pivot, and leave zero-flow arcs in the tree
         assert seen["pivots"] > 100 and seen["zero_arcs"] > 0
+
+    def test_cost_aware_start_saves_pivots(self, monkeypatch):
+        # the instance of test_dual_certificate_many_blocks[haar_300]; from the
+        # northwest-corner start it took 4,864 pivots, from the greedy start 2,429
+        pivot, pivots = transport._pivot, [0]
+
+        def counted_pivot(*args):
+            pivots[0] += 1
+            pivot(*args)
+
+        monkeypatch.setattr(transport, "_pivot", counted_pivot)
+        mA = load_measure(os.path.join(DATA, "geodesic_5.txt"))
+        w1_exact(mA, haar_sample(np.random.default_rng(44), 300))
+        assert pivots[0] <= 0.7 * 4864
 
 
 class TestSinkhorn:
