@@ -64,6 +64,9 @@ class ConfigError(ValueError):
     pass
 
 
+_K_IT_ENVELOPE = 20.0  # largest |t| at which K_it, and so the Eisenstein series, is trusted
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Desk-scale experiment parameters; all fields have defaults."""
@@ -109,7 +112,7 @@ class ExperimentConfig:
             _check_t(self.t_values)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        if any(abs(t) > 20.0 for t in self.t_values):
+        if any(abs(t) > _K_IT_ENVELOPE for t in self.t_values):
             raise ConfigError("t_values entries must have |t| <= 20, the K_it envelope")
         if self.y_max < 2.0:
             raise ConfigError("y_max must be at least 2")
@@ -343,6 +346,9 @@ def _haar_mesh_bound(n_x: int, n_levels: int, y_max: float) -> float:
 
 
 def cmd_duke(cfg: ExperimentConfig, args):
+    if 3.0 * cfg.T > _K_IT_ENVELOPE:  # berry_esseen_rhs_many's t-grid runs to max(3T, 15)
+        raise ConfigError(f"duke's t-grid runs to 3T = {3.0 * cfg.T:g}, past the K_it envelope "
+                          "|t| <= 20: bandwidth must be at most 20/3")
     try:
         data = MaassData.load(cfg.maass_data) if cfg.maass_data else None
     except (OSError, ValueError) as exc:

@@ -17,8 +17,11 @@ hyperbolic ball where k is above the truncation threshold; ``ball_tiles``
 lists them in closed form from the bottom rows of gamma^-1.  Both kernel
 sums take u(z, gamma w) = u(gamma^-1 z, w): one ``mobius_image`` call gives
 the preimages gamma^-1 z, with gamma^-1 = (d, -b; -c, a), and ``pair_u``
-pairs them with w.  The surface mass evaluates each tile only on the grid
-nodes inside the ball around its preimage.
+pairs them with w.  The surface mass integrates a product Gauss-Legendre
+rule below y = 50, each tile only on the nodes in a box around the ball of
+its preimage, and the region above y = 50 in closed form, unfolded over the
+cosets of the translations, which ``_coset_rows`` lists for it and for
+``ball_tiles``.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from functools import lru_cache
 import numpy as np
 
 from ._gl import gl_panels
-from .hypgeo import Point, fundamental_domain_grid, mobius_image, pair_u, polar_image, reduce
+from .hypgeo import Point, mobius_image, pair_u, polar_image, reduce
 from .specfun import conical_p
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -163,6 +166,25 @@ class _KernelTable:
         below = np.nonzero(self.k < rel * self.k0)[0]
         return float(self.rho[below[0]]) if len(below) else float(self.rho[-1])
 
+    def cut_at(self, rho_end: float):
+        """k of u, linear in rho as ``eval_u`` up to the knot rho_end and 0 from it on.
+
+        The knots are evenly spaced, so each u's segment is read off its rho.
+        """
+        end = int(np.searchsorted(self.rho, rho_end))
+        k = np.append(self.k[:end], 0.0)
+        slope = np.append(np.diff(self.k[:end + 1]) / np.diff(self.rho[:end + 1]), 0.0)
+        scale = (len(self.rho) - 1) / self.rho[-1]
+
+        def k_of_u(u):
+            rho = np.sqrt(u)
+            np.arcsinh(rho, out=rho)
+            rho *= 2.0
+            j = np.minimum(rho * scale, end).astype(np.intp)
+            return k[j] + slope[j] * (rho - self.rho[j])
+
+        return k_of_u
+
 
 @lru_cache(maxsize=16)
 def _kernel_table(T: float) -> _KernelTable:
@@ -220,25 +242,34 @@ _MAX_TILES = 600_000
 _TILE_MARGIN = 1e-12  # relative widening of ball_tiles' two bounds, far above their rounding
 
 
-def ball_tiles(z: Point, rho_ball: float) -> np.ndarray:
-    """Matrices gamma (one per +-pair) whose tile gamma F may meet the ball B(z, rho_ball).
+def _coset_rows(z: Point, rho_ball: float) -> tuple[np.ndarray, np.ndarray]:
+    """Bottom rows (r, s) of gamma^-1, one per coset, with Im(gamma^-1 z) >= (sqrt 3/2) e^-rho_ball.
 
-    gamma F meets B(z, rho) only if F (|x| <= 1/2, y >= sqrt(3)/2) meets
-    B(w, rho), w = gamma^-1 z = x0 + i y0, which spans x0 +- y0 sinh rho and
-    reaches up to y0 e^rho.  So the bottom row (r, s) of gamma^-1, taken with
-    r > 0 or as (0, 1), has |rz + s|^2 = Im z / y0 <= (2/sqrt 3) Im z e^rho;
-    with p = s^-1 mod r, q = (ps - 1)/r, gamma^-1 = T^n (p, q; r, s) has
-    |x0 + n| <= 1/2 + y0 sinh rho.  Both bounds are widened by
-    ``_TILE_MARGIN``, so every tile meeting the ball is listed.  Returns an
-    integer array of shape (n, 4), cut at ``_MAX_TILES`` rows with a
-    TruncationWarning.
+    The cosets are those of the translations, gamma^-1 up to T^n on the left;
+    Im(gamma^-1 z) = Im z / |rz + s|^2; r > 0 or (r, s) = (0, 1), and the
+    bound is widened by ``_TILE_MARGIN``.
     """
     row_max = 2.0 / math.sqrt(3.0) * z.y * math.exp(rho_ball) * (1.0 + _TILE_MARGIN)
     s_max = int(math.sqrt(row_max) * (1.0 + abs(z.x) / z.y)) + 1
     r, s = np.mgrid[0:int(math.sqrt(row_max) / z.y) + 1, -s_max:s_max + 1].reshape(2, -1)
     keep = (((r * z.x + s) ** 2 + (r * z.y) ** 2 <= row_max) & (np.gcd(r, s) == 1)
             & ((r > 0) | (s == 1)))
-    r, s = r[keep], s[keep]
+    return r[keep], s[keep]
+
+
+def ball_tiles(z: Point, rho_ball: float) -> np.ndarray:
+    """Matrices gamma (one per +-pair) whose tile gamma F may meet the ball B(z, rho_ball).
+
+    gamma F meets B(z, rho) only if F (|x| <= 1/2, y >= sqrt(3)/2) meets
+    B(w, rho), w = gamma^-1 z = x0 + i y0, which spans x0 +- y0 sinh rho and
+    reaches up to y0 e^rho.  So the bottom row (r, s) of gamma^-1 is one of
+    ``_coset_rows``; with p = s^-1 mod r, q = (ps - 1)/r, gamma^-1 = T^n (p, q; r, s)
+    has |x0 + n| <= 1/2 + y0 sinh rho.  Both bounds are widened by
+    ``_TILE_MARGIN``, so every tile meeting the ball is listed.  Returns an
+    integer array of shape (n, 4), cut at ``_MAX_TILES`` rows with a
+    TruncationWarning.
+    """
+    r, s = _coset_rows(z, rho_ball)
     p = np.array([pow(b, -1, a) if a else 1 for a, b in zip(r.tolist(), s.tolist())], dtype=int)
     q = (p * s - 1) // np.maximum(r, 1)
 
@@ -277,88 +308,118 @@ def automorphic_kernel(z: Point, w: Point, params: "TransformParams") -> float:
 # Relative widening of u_lim for the nodes kernel_mass_on_surface selects, far
 # above the rounding of either route, so no node with u <= u_lim is missed.
 _SELECT_MARGIN = 1e-9
-# kernel_mass_on_surface's grid top, and the level of k, relative to k(0),
-# below which a tile is dropped
+# kernel_mass_on_surface's rule, Gauss-Legendre (panels, nodes per panel) on each
+# axis of (x, s) below _Y_CUT; the level of k, relative to k(0), below which a
+# tile is dropped; and the padded nodes per block of the fold, bounding its arrays
+_SURFACE_NODES = (4, 16)
 _Y_CUT = 50.0
-_TILE_LEVEL = 1e-8
-_FOLD_TILES = 64  # hit tiles per block of the fold, bounding its (tiles x columns) arrays
+_TILE_LEVEL = 1e-10
+_FOLD_NODES = 16384
 
 
-def kernel_mass_on_surface(
-    z: Point,
-    params: "TransformParams",
-    n_x: int = 170,
-    n_levels: int = 170,
-) -> tuple[float, float]:
+def _surface_rule():
+    """Product Gauss-Legendre rule below ``_Y_CUT``: x, s, span, and (level, column) y, weights.
+
+    v = 1/y = 1/_Y_CUT + s span(x), span(x) = 1/sqrt(1 - x^2) - 1/_Y_CUT, maps
+    [-1/2, 1/2] x [0, 1] onto F below ``_Y_CUT`` with dmu = dx dv, so the
+    weights are exact.
+    """
+    x, wx = gl_panels(-0.5, 0.5, *_SURFACE_NODES)
+    s, ws = gl_panels(0.0, 1.0, *_SURFACE_NODES)
+    span = 1.0 / np.sqrt(1.0 - x * x) - 1.0 / _Y_CUT
+    return x, s, span, 1.0 / (1.0 / _Y_CUT + s[:, None] * span), ws[:, None] * (wx * span)
+
+
+def _cusp_mass(y, T: float) -> np.ndarray:
+    """Mass of k(u(iy, w)) over Im w > ``_Y_CUT``: erfc((T log(_Y_CUT/y) + 1/2T)/sqrt 2)/2.
+
+    At height Y the x-integral of k is sqrt(yY) g(log(Y/y)), with g the
+    Fourier transform of h, T e^{-1/8T^2} e^{-T^2 a^2/2} / sqrt(2 pi); its
+    integral against dY/Y^2 over Y > _Y_CUT is the Gaussian tail above.
+    """
+    arg = (T * np.log(_Y_CUT / np.asarray(y, dtype=float)) + 0.5 / T) / math.sqrt(2.0)
+    return 0.5 * np.array([math.erfc(a) for a in arg.tolist()])
+
+
+def kernel_mass_on_surface(z: Point, params: "TransformParams") -> tuple[float, float]:
     """Quadrature of int over the surface of K(z, w) dmu(w); equals 1.
 
-    Midpoint quadrature on the exact-in-measure fundamental-domain grid
-    below ``_Y_CUT``; the group sum is folded tile by tile, dropping tiles
-    where k is below ``_TILE_LEVEL`` relative to k(0).  Returns the mass
-    and an error bound combining the cusp tail above ``_Y_CUT`` with the
-    dropped k-tail beyond the tile radius.
+    Below ``_Y_CUT`` the rule of ``_surface_rule`` folds the group sum tile
+    by tile, on the table of k cut at rho_tile, where k falls below
+    ``_TILE_LEVEL`` of k(0).  Above it the sum unfolds over the cosets of
+    the translations, group elements rather than orbit points, so an
+    elliptic z needs no correction: each row (r, s) of ``_coset_rows`` adds
+    ``_cusp_mass`` at Im z / |rz + s|^2.  Returns the mass and an error
+    budget, 4 pi int_{u_lim}^inf k du: unfolded, every term left out has
+    u > u_lim, as the cosets left out have Im(gamma^-1 z) < e^-rho_tile.
+    The budget leaves out the linear table's bias and the rule's own error.
 
-    As u(z, gamma w) = u(gamma^-1 z, w), a tile's nodes with u <= u_lim lie
-    in B(gamma^-1 z, rho_tile): for gamma^-1 z = x0 + i y0 the Euclidean disk
-    with centre (x0, y0 cosh rho_tile) and radius y0 sinh rho_tile.  Tiles
-    whose disk misses the grid are skipped.  The grid is evenly spaced in
-    v = 1/y down each column, so the disk, widened by ``_SELECT_MARGIN``,
-    meets a column in one range of levels, found in closed form.  On the
-    box of these levels u is computed from gamma^-1 z and filtered exactly
-    as over the whole grid, in ascending node order, and summed by numpy,
-    not BLAS.  Blocks of tiles are folded on up to one thread per CPU in
-    the process's affinity mask and the tile sums added in tile order, so
-    the mass is bit-identical to folding every tile's preimage over the
-    whole grid, whatever the thread counts of the fold and of OpenBLAS.
+    A tile's nodes with u(z, gamma w) = u(gamma^-1 z, w) <= u_lim lie in the
+    Euclidean disk with centre (x0, y0 cosh rho_tile) and radius
+    y0 sinh rho_tile, for gamma^-1 z = x0 + i y0.  Widened by
+    ``_SELECT_MARGIN``, it lies in columns c0..c1-1 and levels l0..l1-1,
+    found by ``searchsorted``, and every node outside this box reads k = 0
+    exactly from the cut table.  Boxes of one column count are folded in
+    blocks, padded to the tallest with such nodes; each tile's terms are
+    added in node order and the tile sums in tile order, on up to one
+    thread per CPU in the process's affinity mask.  So the mass is
+    bit-identical to folding every tile's preimage over every node of the
+    rule, whatever the thread counts of the fold and of OpenBLAS.
     """
     tab = _kernel_table(params.T)
     zr = reduce(z)
-    xs, ys, wmu = fundamental_domain_grid(n_x, n_levels, _Y_CUT)
-
+    x_col, s_lev, span, y2, w2 = _surface_rule()
+    n_s, n_x = y2.shape
     rho_tile = tab.rho_at_level(_TILE_LEVEL)
+    k_of_u = tab.cut_at(rho_tile)
     a, b, c, d = ball_tiles(zr, rho_tile).T
-    u_lim = math.sinh(0.5 * rho_tile) ** 2
 
-    # fundamental_domain_grid puts level l of a column at v = 1/_Y_CUT + (l + 1/2) v_step
-    x_col = xs[:n_x]
-    v_step = (1.0 / np.sqrt(1.0 - x_col * x_col) - 1.0 / _Y_CUT) / n_levels
-    # the widened preimage disks: centre (px, cy), radius r
+    # the widened preimage disks, centre (px, cy), radius r, over columns
+    # c0..c1-1; there the disk runs from v = 1/top up to top / (dx^2 + py^2)
+    # in the column nearest px, dx away, and s = (v - 1/_Y_CUT) / span lies
+    # between these on the widest span and on the narrowest
     px, py = mobius_image(d, -b, -c, a, zr.x, zr.y)
-    u_sel = u_lim * (1.0 + _SELECT_MARGIN)
-    cy = py * (1.0 + 2.0 * u_sel)
-    r = py * (2.0 * math.sqrt(u_sel * (1.0 + u_sel)))
+    u_sel = math.sinh(0.5 * rho_tile) ** 2 * (1.0 + _SELECT_MARGIN)
+    cy, r = py * (1.0 + 2.0 * u_sel), py * (2.0 * math.sqrt(u_sel * (1.0 + u_sel)))
     c0 = np.searchsorted(x_col, px - r)
     c1 = np.searchsorted(x_col, px + r, side="right")
-    hit = (c0 < c1) & (cy + r >= ys.min()) & (py * py / (cy + r) <= ys.max())
+    first, last = np.clip([c0, c1 - 1], 0, n_x - 1)
+    dx = np.maximum(np.maximum(x_col[first] - px, px - x_col[last]), 0.0)
+    top = cy + np.sqrt(np.maximum(r * r - dx * dx, 0.0))
+    l0 = np.searchsorted(s_lev, (1.0 / top - 1.0 / _Y_CUT) / np.maximum(span[first], span[last]))
+    l1 = np.searchsorted(s_lev, (top / (dx * dx + py * py) - 1.0 / _Y_CUT)
+                         / span[np.clip(n_x // 2, first, last)], side="right")
+    hit = (c0 < c1) & (l0 < l1)
+    px, py, c0, l0, rows, cols = px[hit], py[hit], c0[hit], l0[hit], (l1 - l0)[hit], (c1 - c0)[hit]
 
-    y2, w2 = ys.reshape(n_levels, n_x), wmu.reshape(n_levels, n_x)
-    col, tiles = np.arange(n_x), np.flatnonzero(hit)
-    tile_sums, errors = np.empty(len(tiles)), []
+    # blocks of boxes of one column count, in ascending height, each within
+    # _FOLD_NODES nodes once padded to its tallest box
+    rows, cols, blocks = rows.tolist(), cols.tolist(), []
+    for t in np.lexsort((rows, cols)).tolist():
+        if blocks and cols[blocks[-1][0]] == cols[t] and (
+                (len(blocks[-1]) + 1) * rows[t] * cols[t] <= _FOLD_NODES):
+            blocks[-1].append(t)
+        else:
+            blocks.append([t])
+    y_flat, w_flat = y2.ravel(), w2.ravel()
+    tile_sums, errors = np.empty(len(px)), []
 
-    def fold(starts):
+    def fold(my_blocks):
         try:
-            for start in starts:
-                blk = tiles[start:start + _FOLD_TILES, None]
-                # the disk's chord in column x runs from y = q / y_top up to y_top; over
-                # columns c0..c1 the box of levels lo..hi holds every candidate, and read
-                # row by row it is in ascending node order as in the full grid
-                dx = x_col - px[blk]
-                y_top = cy[blk] + np.sqrt(np.maximum(r[blk] * r[blk] - dx * dx, 0.0))
-                q = dx * dx + py[blk] * py[blk]
-                cols_in = (c0[blk] <= col) & (col < c1[blk])
-                lo = np.where(cols_in, np.ceil((1.0 / y_top - 1.0 / _Y_CUT) / v_step - 0.5), np.inf)
-                hi = np.where(cols_in, np.floor((y_top / q - 1.0 / _Y_CUT) / v_step - 0.5), -np.inf)
-                for i, t, l0, l1 in zip(range(start, len(tiles)), blk[:, 0], lo.min(1), hi.max(1)):
-                    cols = slice(c0[t], c1[t])
-                    box = (slice(max(int(l0), 0), min(int(l1), n_levels - 1) + 1), cols)
-                    u = pair_u(px[t], py[t], x_col[cols], y2[box])
-                    sel = u <= u_lim
-                    tile_sums[i] = (w2[box][sel] * tab.eval_u(u[sel])).sum()
+            for blk in my_blocks:
+                # n_r levels from l0, moved down where they would pass the last
+                n_r, n_c = rows[blk[-1]], cols[blk[0]]
+                cc = (c0[blk, None] + np.arange(n_c))[:, None, :]
+                lev = np.minimum(l0[blk], n_s - n_r)[:, None] + np.arange(n_r)
+                node = lev[:, :, None] * n_x + cc
+                u = pair_u(px[blk, None, None], py[blk, None, None], x_col[cc], y_flat[node])
+                terms = (w_flat[node] * k_of_u(u)).reshape(len(blk), -1)
+                # np.cumsum adds left to right, where np.sum would add pairwise
+                tile_sums[blk] = np.cumsum(terms, axis=1)[:, -1]
         except Exception as exc:  # raised again by the calling thread after the joins
             errors.append(exc)
 
     # this thread and one helper per further CPU each fold every workers-th block
-    blocks = range(0, len(tiles), _FOLD_TILES)
     workers = min(len(os.sched_getaffinity(0)), len(blocks)) or 1
     helpers = [threading.Thread(target=fold, args=(blocks[i::workers],)) for i in range(1, workers)]
     for helper in helpers:
@@ -368,19 +429,13 @@ def kernel_mass_on_surface(
         helper.join()
     if errors:
         raise errors[0]
-    # np.cumsum adds left to right, tile by tile, where np.sum would add pairwise
-    mass = float(np.cumsum(tile_sums)[-1]) if len(tiles) else 0.0
 
-    # cusp tail above _Y_CUT: mu(F(_Y_CUT)) = 1/_Y_CUT times the kernel sup
-    # there; K at the probes is the sum over the listed tiles, added tile by
-    # tile as the sum over axis 0 runs row by row
-    top = np.linspace(-0.45, 0.45, 7)
-    k_top = tab.eval_u(pair_u(px[:, None], py[:, None], top, _Y_CUT)).sum(axis=0)
-    tail_cusp = float(k_top.max()) / _Y_CUT
-    # dropped k-tail beyond the tile radius: 4 pi int_{u_lim}^inf k du
+    # the cusp terms follow the tile sums, all added left to right
+    rr, ss = _coset_rows(zr, rho_tile)
+    cusp = _cusp_mass(zr.y / ((rr * zr.x + ss) ** 2 + (rr * zr.y) ** 2), params.T)
     rho, wk = _weighted_k(params.T, rho_tile, 12.0 / params.T + 3.0, _TAIL_NODES)
-    tail_k = float(4.0 * math.pi * (wk * 0.5 * np.sinh(rho)).sum())
-    return mass, abs(tail_cusp) + abs(tail_k)
+    return (float(np.cumsum(np.concatenate([tile_sums, cusp]))[-1]),
+            float(4.0 * math.pi * (wk * 0.5 * np.sinh(rho)).sum()))
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,8 @@ integral representation for the conical function, a brute-force group
 sweep for the quotient distance, direct quadrature for
 the inner sine integral, basis enumeration for small transport LPs, plain
 Dirichlet series for L-functions, trial division and complex powers for the
-divisor sums lam_t(n), every tile folded over the whole grid, by its
-preimage of z or by the Mobius images of the nodes, for the kernel mass,
+divisor sums lam_t(n), every tile folded over every node of the rule, by
+its preimage of z or by the Mobius images of the nodes, for the kernel mass,
 every matrix in a box with sampled tile boundaries for the tiles meeting a
 ball, the arclength parametrisation of a closed geodesic, the
 cube root of the x^2 - D y^2 = 1 solution for t^2 - D u^2 = 4, and plain
@@ -23,10 +23,10 @@ from itertools import combinations
 import numpy as np
 from scipy.special import logsumexp
 
+from modsurf import transform as tr
 from modsurf._gl import gl_panels
 from modsurf.arithmetic import ClosedGeodesic
-from modsurf.hypgeo import (Point, UnimodularMatrix, canonical_sign, fundamental_domain_grid,
-                            mobius_image, pair_u, reduce)
+from modsurf.hypgeo import Point, UnimodularMatrix, canonical_sign, mobius_image, pair_u, reduce
 from modsurf.specfun import kronecker_symbol
 from modsurf.transform import _kernel_table, ball_tiles, k_of_rho
 
@@ -144,46 +144,44 @@ def divisor_lambda(n: int, t: float) -> float:
     return sum((a / (n // a)) ** complex(0.0, t) for a in range(1, n + 1) if n % a == 0).real
 
 
-def full_grid_kernel_mass(z: Point, params, n_x: int = 170, n_levels: int = 170,
-                          y_cut: float = 50.0, tile_level: float = 1e-8,
-                          by_images: bool = False) -> tuple[float, float]:
-    """``kernel_mass_on_surface`` with every tile folded over the whole grid.
+def full_grid_kernel_mass(z: Point, params, by_images: bool = False) -> tuple[float, float]:
+    """``kernel_mass_on_surface`` with every tile folded over every node of its rule.
 
-    Evaluates u(z, gamma w) at all grid nodes for each tile and keeps
-    u <= u_lim, with one tile at a time for the cusp probes too; no
-    preimage ball selects the nodes.  u is u(gamma^-1 z, w) from the
-    preimages of z, as in the implementation, or with ``by_images`` the
-    independent route u(z, gamma w) from the Mobius images of the nodes.
+    Evaluates u(z, gamma w) at all nodes of the product rule for each tile
+    and adds its terms one after another in node order; no preimage ball
+    selects the nodes.  u is u(gamma^-1 z, w) from the preimages of z, as in
+    the implementation, and the cusp term reads the cosets from
+    ``_coset_rows``; or with ``by_images`` u is the independent route
+    u(z, gamma w) from the Mobius images of the nodes, and the cosets are the
+    distinct bottom rows of the tiles' inverses, at Im z / |rz + s|^2 in
+    complex arithmetic.
     """
     tab = _kernel_table(params.T)
     zr = reduce(z)
-    xs, ys, wmu = fundamental_domain_grid(n_x, n_levels, y_cut)
-    rho_tile = tab.rho_at_level(tile_level)
+    x, _s, _span, y2, w2 = tr._surface_rule()
+    xs, ys, wmu = np.broadcast_to(x, y2.shape).ravel(), y2.ravel(), w2.ravel()
+    rho_tile = tab.rho_at_level(tr._TILE_LEVEL)
+    k_of_u = tab.cut_at(rho_tile)
     mats = ball_tiles(zr, rho_tile)
     a, b, c, d = mats.T
     px, py = mobius_image(d, -b, -c, a, zr.x, zr.y)
 
-    def tile_u(k, x, y):
-        if by_images:
-            return pair_u(*mobius_image(*mats[k].astype(float), x, y), zr.x, zr.y)
-        return pair_u(px[k], py[k], x, y)
-
-    mass = 0.0
-    top = np.linspace(-0.45, 0.45, 7)
-    k_top = np.zeros(top.shape)
-    u_lim = math.sinh(0.5 * rho_tile) ** 2
+    tile_sums = []
     for k in range(len(mats)):
-        u = tile_u(k, xs, ys)
-        sel = u <= u_lim
-        if np.any(sel):
-            mass += float((wmu[sel] * tab.eval_u(u[sel])).sum())
-        k_top += tab.eval_u(tile_u(k, top, y_cut))
-
-    tail_cusp = float(k_top.max()) / y_cut
-    rho_hi = 12.0 / params.T + 3.0
-    rho, wq = gl_panels(rho_tile, rho_hi, 6, 24)
-    tail_k = float(4.0 * math.pi * (wq * k_of_rho(rho, params.T) * 0.5 * np.sinh(rho)).sum())
-    return mass, abs(tail_cusp) + abs(tail_k)
+        if by_images:
+            u = pair_u(*mobius_image(*mats[k].astype(float), xs, ys), zr.x, zr.y)
+        else:
+            u = pair_u(px[k], py[k], xs, ys)
+        tile_sums.append(np.cumsum(wmu * k_of_u(u))[-1])
+    if by_images:
+        rows = {max((-cc, aa), (cc, -aa)) for aa, cc in zip(a.tolist(), c.tolist())}
+        heights = [zr.y / abs(r * complex(zr.x, zr.y) + s) ** 2 for r, s in sorted(rows)]
+    else:
+        r, s = tr._coset_rows(zr, rho_tile)
+        heights = zr.y / ((r * zr.x + s) ** 2 + (r * zr.y) ** 2)
+    mass = float(np.cumsum(np.concatenate([tile_sums, tr._cusp_mass(heights, params.T)]))[-1])
+    rho, wq = gl_panels(rho_tile, 12.0 / params.T + 3.0, 6, 24)
+    return mass, float(4.0 * math.pi * (wq * k_of_rho(rho, params.T) * 0.5 * np.sinh(rho)).sum())
 
 
 def brute_force_ball_tiles(z: Point, rho: float, bound: int, delta: float = 0.02) -> set:

@@ -327,6 +327,20 @@ class TestDuke:
         # the status lines go to stderr
         assert capsys.readouterr().err == (DATA / "duke_default.stdout").read_text()
 
+    @pytest.mark.parametrize("T, code", [(7.0, 2), (6.5, 0)])
+    def test_bandwidth_within_the_k_it_envelope(self, T, code, tmp_path, monkeypatch, capsys):
+        # duke's t-grid runs to max(3T, 15), so past |t| = 20 once T > 20/3
+        (tmp_path / "c.ini").write_text(f"[experiment]\nbandwidth = {T}\n")
+        assert run(["duke", "--config", "c.ini", "--out", "d.csv"], tmp_path, monkeypatch) == code
+        if code == 2:
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("config error: duke's t-grid")
+
+    @pytest.mark.parametrize("command", ["transform-check", "kernel-mass"])
+    def test_other_commands_take_a_bandwidth_past_it(self, command, tmp_path, monkeypatch):
+        (tmp_path / "c.ini").write_text("[experiment]\nbandwidth = 8\n")
+        assert run([command, "--config", "c.ini", "--out", "o.csv"], tmp_path, monkeypatch) == 0
+
     def test_weyl_exact_rel_on_the_row_scale(self, tmp_path, monkeypatch):
         # D = -24 has a near-zero of the exact value at t = 13.76; on the scale
         # of the row's largest exact value the gap there is rounding

@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 
 from modsurf import transform as tr
+from modsurf._gl import gl_panels
+from modsurf.cli import _BASE_POINTS
 from modsurf.hypgeo import Point, mobius_image, pair_u
 from modsurf.transform import (
     TransformParams,
@@ -125,6 +127,20 @@ class TestKernel:
         assert np.array_equal(k, np.interp(2.0 * np.arcsinh(np.sqrt(u)), tab.rho, tab.k, right=0.0))
         assert k[u > rho_end_u].max() == 0.0 < k[u <= tab.u_cutoff].min()
 
+    @pytest.mark.parametrize("T", [1.0, 2.0])
+    def test_cut_table_reads_zero_from_its_end(self, T):
+        # eval_u's values up to the knot rho_end, read off the evenly spaced
+        # knots instead of searched for, and exactly 0 from there on
+        tab = tr._kernel_table(T)
+        rho_end = tab.rho_at_level(tr._TILE_LEVEL)
+        u_end = math.sinh(0.5 * rho_end) ** 2
+        u = np.concatenate([[0.0], np.geomspace(1e-12, 4.0 * u_end, 4000),
+                            [2.0 * tab.u_cutoff]])
+        k = tab.cut_at(rho_end)(u)
+        inside = u < u_end * (1.0 - 1e-12)
+        assert np.abs(k[inside] - tab.eval_u(u[inside])).max() <= 1e-15 * tab.k0
+        assert k[u >= u_end].max() == 0.0 < k[inside].min()
+
     def test_bandwidth_validation(self):
         with pytest.raises(ValueError):
             TransformParams.default(0.5)
@@ -186,38 +202,33 @@ class TestAutomorphicKernel:
         assert abs(a - b) < 1e-10
 
     def test_surface_mass(self, params_t2):
-        # coarser grid than the acceptance run; T = 2 keeps the tile count small
-        mass, bound = tr.kernel_mass_on_surface(Point(0, 1), params_t2,
-                                                n_x=120, n_levels=120)
+        # T = 2 keeps the tile count small
+        mass, bound = tr.kernel_mass_on_surface(Point(0, 1), params_t2)
         assert abs(mass - 1.0) <= 1e-3
 
 
 _MASS_POINTS = [
     Point(0.0, 1.0),
     Point(-0.5, math.sqrt(3.0) / 2.0),  # the corner e^{2 pi i/3}
-    # on x = -1/2, at the height that puts the grid node of column 0,
-    # level 1 on the boundary of B(z, rho_tile) to the last bit: without
-    # the selection margin that node is dropped
-    Point(-0.5, 1.047803440528859),
+    Point(-0.5, 1.047803440528859),  # on the side x = -1/2
     Point(0.3, 0.9),  # reduced inside
     Point(0.1, 4.0),  # the ball reaches far above the grid top
+    Point(0.2, 60.0),  # above the rule's top: its own coset's cusp term is half the mass
 ]
 
 
 class TestKernelMassByPreimageBalls:
-    """The preimage-ball selection against every tile folded over the whole grid."""
+    """The preimage-ball selection against every tile folded over every node of the rule."""
 
     @pytest.mark.parametrize("z", _MASS_POINTS)
     def test_bit_identical_to_full_grid(self, z, params_t2):
-        assert (tr.kernel_mass_on_surface(z, params_t2, n_x=60, n_levels=60)
-                == full_grid_kernel_mass(z, params_t2, n_x=60, n_levels=60))
+        assert tr.kernel_mass_on_surface(z, params_t2) == full_grid_kernel_mass(z, params_t2)
 
     @pytest.mark.parametrize("z", _MASS_POINTS)
     def test_agrees_with_mobius_images(self, z, params_t2):
         # u(gamma^-1 z, w) against u(z, gamma w) from the images of the nodes
-        mass, bound = tr.kernel_mass_on_surface(z, params_t2, n_x=60, n_levels=60)
-        mass_g, bound_g = full_grid_kernel_mass(z, params_t2, n_x=60, n_levels=60,
-                                                by_images=True)
+        mass, bound = tr.kernel_mass_on_surface(z, params_t2)
+        mass_g, bound_g = full_grid_kernel_mass(z, params_t2, by_images=True)
         assert abs(mass - mass_g) <= 1e-14 * abs(mass_g)
         assert abs(bound - bound_g) <= 1e-14 * abs(bound_g)
 
@@ -235,14 +246,62 @@ class TestKernelMassByPreimageBalls:
         monkeypatch.setattr(tr, "mobius_image", counted)
         for z in points:
             calls.clear()
-            tr.kernel_mass_on_surface(z, params_t2, n_x=60, n_levels=60)
+            tr.kernel_mass_on_surface(z, params_t2)
             assert len(calls) == 2
 
 
+def _direct_cusp_mass(Y, T):
+    """int over Im w > _Y_CUT of k(u(iY, w)) dmu(w), by Gauss-Legendre over k_of_rho.
+
+    With y = Y e^a and x = 2 sqrt(yY) t, u(iY, w) = sinh^2(a/2) + t^2 and
+    dmu = 2 e^{-a/2} dt da; t runs over both half-lines and a from
+    log(_Y_CUT / Y) to where k is e^-40 of its value at the bottom.
+    """
+    a_lo = math.log(tr._Y_CUT / Y)
+    a_hi = math.sqrt(a_lo * a_lo + 80.0 / (T * T))
+    a, wa = gl_panels(a_lo, a_hi, 8, 24)
+    u0 = np.sinh(0.5 * a) ** 2
+    t, wt = gl_panels(0.0, np.sqrt(math.sinh(0.5 * a_hi) ** 2 - u0), 8, 24)
+    k = tr.k_of_rho(2.0 * np.arcsinh(np.sqrt(u0[:, None] + t * t)).ravel(), T).reshape(t.shape)
+    return float((wa * 4.0 * np.exp(-0.5 * a) * (wt * k).sum(axis=1)).sum())
+
+
+class TestKernelMassRule:
+    """The product rule and the unfolded cusp term, at the CLI's bandwidth and base points."""
+
+    @pytest.fixture(scope="class")
+    def masses(self, params_t1):
+        return [tr.kernel_mass_on_surface(z, params_t1)[0] for z in _BASE_POINTS]
+
+    @pytest.mark.parametrize("T", [1.0, 2.0])
+    @pytest.mark.parametrize("Y", [0.3, 1.0, 4.0])
+    def test_cusp_mass_against_quadrature(self, Y, T):
+        exact = float(tr._cusp_mass([Y], T)[0])
+        assert abs(_direct_cusp_mass(Y, T) - exact) <= 1e-12 * exact
+
+    def test_mass_does_not_depend_on_z(self, masses):
+        # what is left is the linear table's own bias, about 9.6e-7
+        assert max(masses) - min(masses) <= 1e-8
+        assert all(abs(m - 1.0 - 9.6e-7) <= 1e-7 for m in masses)
+
+    def test_stabiliser_cosets_are_counted(self, masses, params_t1):
+        # at z = i the cosets (0, 1) and (1, 0) both have Im(gamma^-1 z) = 1
+        # and share one orbit point; 1e-6 (1 + i) away they are two points
+        near = tr.kernel_mass_on_surface(Point(1e-6, 1.0 + 1e-6), params_t1)[0]
+        assert _BASE_POINTS[0] == Point(0.0, 1.0)
+        assert abs(near - masses[0]) <= 1e-9
+
+    def test_quadrature_order(self, masses, params_t1, monkeypatch):
+        monkeypatch.setattr(tr, "_SURFACE_NODES", (6, 16))
+        assert len(tr._surface_rule()[0]) == 96
+        for z, mass in zip(_BASE_POINTS, masses):
+            assert abs(tr.kernel_mass_on_surface(z, params_t1)[0] - mass) <= 1e-8
+
+
 def _cpus(monkeypatch, n):
-    """Give the process an affinity mask of n CPUs, and fold in blocks of 8 tiles."""
+    """Give the process an affinity mask of n CPUs, and fold in blocks of at most 1024 nodes."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
-    monkeypatch.setattr(tr, "_FOLD_TILES", 8)
+    monkeypatch.setattr(tr, "_FOLD_NODES", 1024)
 
 
 class TestKernelMassThreads:
@@ -258,22 +317,22 @@ class TestKernelMassThreads:
         try:
             for n in (1, 2, 5):
                 _cpus(monkeypatch, n)
-                results.append(tr.kernel_mass_on_surface(z, params_t2, n_x=60, n_levels=60))
+                results.append(tr.kernel_mass_on_surface(z, params_t2))
         finally:
             sys.setswitchinterval(interval)
-        assert results == [full_grid_kernel_mass(z, params_t2, n_x=60, n_levels=60)] * 3
+        assert results == [full_grid_kernel_mass(z, params_t2)] * 3
 
     def test_same_bits_with_one_openblas_thread(self, params_t2):
         code = ("import sys; sys.path.insert(0, sys.argv[1]); from modsurf.hypgeo import Point; "
                 "from modsurf.transform import TransformParams, kernel_mass_on_surface as km; "
-                "print([km(Point(float(x), float(y)), TransformParams(2.0), n_x=60, n_levels=60) "
+                "print([km(Point(float(x), float(y)), TransformParams(2.0)) "
                 "for x, y in zip(sys.argv[2::2], sys.argv[3::2])])")
         points = [repr(c) for z in _MASS_POINTS for c in (z.x, z.y)]
         src = Path(__file__).resolve().parent.parent / "src"
         done = subprocess.run([sys.executable, "-c", code, str(src), *points],
                               env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
                               capture_output=True, text=True, check=True, timeout=120)
-        here = [tr.kernel_mass_on_surface(z, params_t2, n_x=60, n_levels=60) for z in _MASS_POINTS]
+        here = [tr.kernel_mass_on_surface(z, params_t2) for z in _MASS_POINTS]
         assert done.stdout.strip() == repr(here)
 
     def test_one_cpu_starts_no_thread(self, params_t2, monkeypatch):
@@ -283,14 +342,13 @@ class TestKernelMassThreads:
         _cpus(monkeypatch, 1)
         monkeypatch.setattr(threading, "Thread", refuse)
         z = Point(0.1, 4.0)
-        assert (tr.kernel_mass_on_surface(z, params_t2, n_x=60, n_levels=60)
-                == full_grid_kernel_mass(z, params_t2, n_x=60, n_levels=60))
+        assert tr.kernel_mass_on_surface(z, params_t2) == full_grid_kernel_mass(z, params_t2)
 
     @pytest.mark.parametrize("n_cpus", [2, 3, 5])
     def test_threads_never_exceed_the_cpus(self, n_cpus, params_t2, monkeypatch):
-        # pair_u runs once per hit tile, on the thread that folds it, and once
-        # more on the calling thread for the cusp probes; thread objects, not
-        # idents, as a finished thread's ident can be reused
+        # pair_u runs once per block of the fold, on the thread that folds
+        # it; thread objects, not idents, as a finished thread's ident can be
+        # reused
         started, folding, calls = [], set(), []
 
         class Counted(threading.Thread):
@@ -306,9 +364,8 @@ class TestKernelMassThreads:
         _cpus(monkeypatch, n_cpus)
         monkeypatch.setattr(threading, "Thread", Counted)
         monkeypatch.setattr(tr, "pair_u", traced)
-        tr.kernel_mass_on_surface(Point(0.1, 4.0), params_t2, n_x=60, n_levels=60)
-        n_blocks = -(-(len(calls) - 1) // 8)
-        assert n_blocks > 5
+        tr.kernel_mass_on_surface(Point(0.1, 4.0), params_t2)
+        assert len(calls) > 5
         assert len(started) == n_cpus - 1
         assert len(folding) == n_cpus
         assert not any(t.is_alive() for t in started)
@@ -324,7 +381,7 @@ class TestKernelMassThreads:
         _cpus(monkeypatch, 2)
         monkeypatch.setattr(tr, "pair_u", failing)
         with pytest.raises(FloatingPointError, match="in a helper"):
-            tr.kernel_mass_on_surface(Point(0.1, 4.0), params_t2, n_x=60, n_levels=60)
+            tr.kernel_mass_on_surface(Point(0.1, 4.0), params_t2)
 
 
 class TestBallTilesComplete:
