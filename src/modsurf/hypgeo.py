@@ -71,22 +71,6 @@ class UnimodularMatrix:
         if self.a * self.d - self.b * self.c != 1:
             raise ValueError(f"matrix {self} has determinant != 1")
 
-    def __matmul__(self, other: "UnimodularMatrix") -> "UnimodularMatrix":
-        return UnimodularMatrix(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
-
-    def inverse(self) -> "UnimodularMatrix":
-        return UnimodularMatrix(self.d, -self.b, -self.c, self.a)
-
-
-IDENTITY = UnimodularMatrix(1, 0, 0, 1)
-GEN_S = UnimodularMatrix(0, -1, 1, 0)
-GEN_T = UnimodularMatrix(1, 1, 0, 1)
-
 
 def reduce(z: Point) -> Point:
     """The representative of z in the standard fundamental domain, by ``reduce_batch``."""

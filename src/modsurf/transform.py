@@ -14,14 +14,14 @@ conical function; the two are compared in the tests.
 
 The automorphic kernel sums k over the group elements whose tiles meet the
 hyperbolic ball where k is above the truncation threshold; ``ball_tiles``
-lists them in closed form from the bottom rows of gamma^-1.  Both kernel
-sums take u(z, gamma w) = u(gamma^-1 z, w): one ``mobius_image`` call gives
-the preimages gamma^-1 z, with gamma^-1 = (d, -b; -c, a), and ``pair_u``
-pairs them with w.  The surface mass integrates a product Gauss-Legendre
-rule below y = 50, each tile only on the nodes in a box around the ball of
-its preimage, and the region above y = 50 in closed form, unfolded over the
-cosets of the translations, which ``_coset_rows`` lists for it and for
-``ball_tiles``.
+lists their inverses gamma^-1 in closed form from their bottom rows.  Both
+kernel sums take u(z, gamma w) = u(gamma^-1 z, w): one ``mobius_image`` call
+on those rows gives the preimages gamma^-1 z, ``pair_u`` pairs them with w,
+and both read k from the one lookup of its table, ``_KernelTable.cut_at``.
+The surface mass integrates a product Gauss-Legendre rule below y = 50, each
+tile only on the nodes in a box around the ball of its preimage, and the
+region above y = 50 in closed form, unfolded over the cosets of the
+translations, which ``_coset_rows`` lists for it and for ``ball_tiles``.
 """
 
 from __future__ import annotations
@@ -136,7 +136,8 @@ class TransformParams:
     def __post_init__(self):
         if self.T < 1.0:
             raise ValueError("bandwidth T must be at least 1")
-        object.__setattr__(self, "u_cutoff", _kernel_table(self.T).u_cutoff)
+        rho_cutoff = _kernel_table(self.T).rho_at_level(_CUTOFF_REL)
+        object.__setattr__(self, "u_cutoff", math.sinh(0.5 * rho_cutoff) ** 2)
 
     @classmethod
     def default(cls, T: float) -> "TransformParams":
@@ -145,31 +146,26 @@ class TransformParams:
 
 
 class _KernelTable:
-    """Dense tabulation of k on the geodesic scale for fast interpolation."""
+    """Dense tabulation of k on the geodesic scale, read by ``cut_at``."""
 
     def __init__(self, T: float):
-        rho_max = 12.0 / T + 3.0
-        self.rho = np.linspace(0.0, rho_max, _TABLE_POINTS)
+        self.rho = np.linspace(0.0, 12.0 / T + 3.0, _TABLE_POINTS)
         self.k = np.concatenate([k_of_rho(self.rho[i:i + _TABLE_BLOCK], T)
                                  for i in range(0, _TABLE_POINTS, _TABLE_BLOCK)])
         self.k0 = float(self.k[0])
-        self.u_cutoff = float(math.sinh(0.5 * self.rho_at_level(_CUTOFF_REL)) ** 2)
-
-    def eval_u(self, u: np.ndarray) -> np.ndarray:
-        rho = np.sqrt(np.maximum(u, 0.0))
-        np.arcsinh(rho, out=rho)
-        rho *= 2.0
-        return np.interp(rho, self.rho, self.k, right=0.0)
 
     def rho_at_level(self, rel: float) -> float:
-        """Smallest tabulated rho with k(rho) < rel * k(0)."""
+        """Smallest tabulated rho with k(rho) < rel * k(0); a ValueError if the table ends first."""
         below = np.nonzero(self.k < rel * self.k0)[0]
-        return float(self.rho[below[0]]) if len(below) else float(self.rho[-1])
+        if not len(below):
+            raise ValueError(f"the table of k ends before k falls below {rel} k(0)")
+        return float(self.rho[below[0]])
 
     def cut_at(self, rho_end: float):
-        """k of u, linear in rho as ``eval_u`` up to the knot rho_end and 0 from it on.
+        """k of u >= 0, linear in rho between the knots up to the knot rho_end and 0 from it on.
 
-        The knots are evenly spaced, so each u's segment is read off its rho.
+        The knots are evenly spaced, so each u's segment is read off its rho;
+        the returned function leaves its argument unchanged.
         """
         end = int(np.searchsorted(self.rho, rho_end))
         k = np.append(self.k[:end], 0.0)
@@ -258,16 +254,17 @@ def _coset_rows(z: Point, rho_ball: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def ball_tiles(z: Point, rho_ball: float) -> np.ndarray:
-    """Matrices gamma (one per +-pair) whose tile gamma F may meet the ball B(z, rho_ball).
+    """Inverses gamma^-1 (one per +-pair) of the gamma whose tile gamma F may meet B(z, rho_ball).
 
     gamma F meets B(z, rho) only if F (|x| <= 1/2, y >= sqrt(3)/2) meets
     B(w, rho), w = gamma^-1 z = x0 + i y0, which spans x0 +- y0 sinh rho and
     reaches up to y0 e^rho.  So the bottom row (r, s) of gamma^-1 is one of
     ``_coset_rows``; with p = s^-1 mod r, q = (ps - 1)/r, gamma^-1 = T^n (p, q; r, s)
     has |x0 + n| <= 1/2 + y0 sinh rho.  Both bounds are widened by
-    ``_TILE_MARGIN``, so every tile meeting the ball is listed.  Returns an
-    integer array of shape (n, 4), cut at ``_MAX_TILES`` rows with a
-    TruncationWarning.
+    ``_TILE_MARGIN``, so every tile meeting the ball is listed.  Returns the
+    rows (a, b, c, d) of gamma^-1 = (p + nr, q + ns; r, s) as an integer
+    array of shape (n, 4), ready for ``mobius_image``, cut at ``_MAX_TILES``
+    rows with a TruncationWarning.
     """
     r, s = _coset_rows(z, rho_ball)
     p = np.array([pow(b, -1, a) if a else 1 for a, b in zip(r.tolist(), s.tolist())], dtype=int)
@@ -283,26 +280,22 @@ def ball_tiles(z: Point, rho_ball: float) -> np.ndarray:
         count = np.clip(_MAX_TILES - (np.cumsum(count) - count), 0, count)
     j = np.repeat(np.arange(len(count)), count)
     n = n_lo[j] + np.arange(len(j)) - (np.cumsum(count) - count)[j]
-    # canonical_sign's representative: gamma's first entry s leads, and s = 0 only with b = 1
-    p, q, r, s = np.where(s < 0, -1, 1)[j] * np.array([p, q, r, s])[:, j]
-    return np.stack([s, -q - n * s, -r, p + n * r], axis=1)
+    return np.stack([p[j] + n * r[j], q[j] + n * s[j], r[j], s[j]], axis=1)
 
 
 def automorphic_kernel(z: Point, w: Point, params: "TransformParams") -> float:
     """Automorphic kernel K(z, w) = sum over gamma of k(u(z, gamma w)).
 
     The sum runs over one representative per +-pair (the two signs act
-    identically), truncated to u <= params.u_cutoff; with the default
-    cutoff the dropped terms are below 1e-14 of k(0) each.
+    identically), on the table of k cut where k falls below ``_CUTOFF_REL``
+    of k(0), at u = params.u_cutoff; each term dropped is below that.
     """
     tab = _kernel_table(params.T)
-    zr = reduce(z)
-    wr = reduce(w)
-    a, b, c, d = ball_tiles(zr, 2.0 * math.asinh(math.sqrt(params.u_cutoff))).T
-    # u(z, gamma w) = u(gamma^-1 z, w), with gamma^-1 = (d, -b; -c, a)
-    u = pair_u(*mobius_image(d, -b, -c, a, zr.x, zr.y), wr.x, wr.y)
-    u = u[u <= params.u_cutoff]
-    return float(tab.eval_u(u).sum())
+    rho_cutoff = tab.rho_at_level(_CUTOFF_REL)
+    zr, wr = reduce(z), reduce(w)
+    # u(z, gamma w) = u(gamma^-1 z, w)
+    u = pair_u(*mobius_image(*ball_tiles(zr, rho_cutoff).T, zr.x, zr.y), wr.x, wr.y)
+    return float(tab.cut_at(rho_cutoff)(u).sum())
 
 
 # Relative widening of u_lim for the nodes kernel_mass_on_surface selects, far
@@ -372,13 +365,12 @@ def kernel_mass_on_surface(z: Point, params: "TransformParams") -> tuple[float, 
     n_s, n_x = y2.shape
     rho_tile = tab.rho_at_level(_TILE_LEVEL)
     k_of_u = tab.cut_at(rho_tile)
-    a, b, c, d = ball_tiles(zr, rho_tile).T
 
     # the widened preimage disks, centre (px, cy), radius r, over columns
     # c0..c1-1; there the disk runs from v = 1/top up to top / (dx^2 + py^2)
     # in the column nearest px, dx away, and s = (v - 1/_Y_CUT) / span lies
     # between these on the widest span and on the narrowest
-    px, py = mobius_image(d, -b, -c, a, zr.x, zr.y)
+    px, py = mobius_image(*ball_tiles(zr, rho_tile).T, zr.x, zr.y)
     u_sel = math.sinh(0.5 * rho_tile) ** 2 * (1.0 + _SELECT_MARGIN)
     cy, r = py * (1.0 + 2.0 * u_sel), py * (2.0 * math.sqrt(u_sel * (1.0 + u_sel)))
     c0 = np.searchsorted(x_col, px - r)
@@ -433,7 +425,7 @@ def kernel_mass_on_surface(z: Point, params: "TransformParams") -> tuple[float, 
     # the cusp terms follow the tile sums, all added left to right
     rr, ss = _coset_rows(zr, rho_tile)
     cusp = _cusp_mass(zr.y / ((rr * zr.x + ss) ** 2 + (rr * zr.y) ** 2), params.T)
-    rho, wk = _weighted_k(params.T, rho_tile, 12.0 / params.T + 3.0, _TAIL_NODES)
+    rho, wk = _weighted_k(params.T, rho_tile, tab.rho[-1], _TAIL_NODES)
     return (float(np.cumsum(np.concatenate([tile_sums, cusp]))[-1]),
             float(4.0 * math.pi * (wk * 0.5 * np.sinh(rho)).sum()))
 

@@ -13,6 +13,8 @@ every matrix in a box with sampled tile boundaries for the tiles meeting a
 ball, the arclength parametrisation of a closed geodesic, the
 cube root of the x^2 - D y^2 = 1 solution for t^2 - D u^2 = 4, and plain
 log-domain alternating Sinkhorn at one regularisation for the entropic plan.
+The words in the generators S and T that the tests move points by live
+here as well, since nothing in the package multiplies group elements.
 """
 
 from __future__ import annotations
@@ -29,6 +31,25 @@ from modsurf.arithmetic import ClosedGeodesic
 from modsurf.hypgeo import Point, UnimodularMatrix, canonical_sign, mobius_image, pair_u, reduce
 from modsurf.specfun import kronecker_symbol
 from modsurf.transform import _kernel_table, ball_tiles, k_of_rho
+
+
+IDENTITY = UnimodularMatrix(1, 0, 0, 1)
+GEN_S = UnimodularMatrix(0, -1, 1, 0)
+GEN_T = UnimodularMatrix(1, 1, 0, 1)
+
+
+def word(*letters: UnimodularMatrix) -> UnimodularMatrix:
+    """The product of the letters, left to right; the identity for none."""
+    g = IDENTITY
+    for h in letters:
+        g = UnimodularMatrix(g.a * h.a + g.b * h.c, g.a * h.b + g.b * h.d,
+                             g.c * h.a + g.d * h.c, g.c * h.b + g.d * h.d)
+    return g
+
+
+def inverse(g: UnimodularMatrix) -> UnimodularMatrix:
+    """g^-1 = (d, -b; -c, a)."""
+    return UnimodularMatrix(g.d, -g.b, -g.c, g.a)
 
 
 def mobius_apply(g: UnimodularMatrix, z: Point) -> Point:
@@ -152,9 +173,9 @@ def full_grid_kernel_mass(z: Point, params, by_images: bool = False) -> tuple[fl
     selects the nodes.  u is u(gamma^-1 z, w) from the preimages of z, as in
     the implementation, and the cusp term reads the cosets from
     ``_coset_rows``; or with ``by_images`` u is the independent route
-    u(z, gamma w) from the Mobius images of the nodes, and the cosets are the
-    distinct bottom rows of the tiles' inverses, at Im z / |rz + s|^2 in
-    complex arithmetic.
+    u(z, gamma w) from the Mobius images of the nodes under gamma, inverted
+    from the rows gamma^-1 of ``ball_tiles``, and the cosets are the distinct
+    bottom rows of those rows, at Im z / |rz + s|^2 in complex arithmetic.
     """
     tab = _kernel_table(params.T)
     zr = reduce(z)
@@ -162,19 +183,20 @@ def full_grid_kernel_mass(z: Point, params, by_images: bool = False) -> tuple[fl
     xs, ys, wmu = np.broadcast_to(x, y2.shape).ravel(), y2.ravel(), w2.ravel()
     rho_tile = tab.rho_at_level(tr._TILE_LEVEL)
     k_of_u = tab.cut_at(rho_tile)
-    mats = ball_tiles(zr, rho_tile)
-    a, b, c, d = mats.T
-    px, py = mobius_image(d, -b, -c, a, zr.x, zr.y)
+    inverses = ball_tiles(zr, rho_tile)
+    px, py = mobius_image(*inverses.T, zr.x, zr.y)
 
     tile_sums = []
-    for k in range(len(mats)):
+    for k in range(len(inverses)):
         if by_images:
-            u = pair_u(*mobius_image(*mats[k].astype(float), xs, ys), zr.x, zr.y)
+            # gamma = (d, -b; -c, a) from gamma^-1 = (a, b; c, d)
+            a, b, c, d = inverses[k].astype(float)
+            u = pair_u(*mobius_image(d, -b, -c, a, xs, ys), zr.x, zr.y)
         else:
             u = pair_u(px[k], py[k], xs, ys)
         tile_sums.append(np.cumsum(wmu * k_of_u(u))[-1])
     if by_images:
-        rows = {max((-cc, aa), (cc, -aa)) for aa, cc in zip(a.tolist(), c.tolist())}
+        rows = {max((c, d), (-c, -d)) for _a, _b, c, d in inverses.tolist()}
         heights = [zr.y / abs(r * complex(zr.x, zr.y) + s) ** 2 for r, s in sorted(rows)]
     else:
         r, s = tr._coset_rows(zr, rho_tile)

@@ -28,9 +28,9 @@ from modsurf.eisenstein import (
     weyl_sum_empirical,
     weyl_sum_exact_sq,
 )
-from modsurf.hypgeo import GEN_S, GEN_T, Point
+from modsurf.hypgeo import Point
 from modsurf.specfun import dirichlet_l, h_minus, riemann_zeta
-from oracles import divisor_lambda, mobius_apply
+from oracles import GEN_S, GEN_T, divisor_lambda, mobius_apply
 
 DEFAULT_DUKE_DISCRIMINANTS = (-7, -8, -11, -15, -20, -23, -24)
 

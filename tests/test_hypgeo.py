@@ -9,8 +9,6 @@ from hypothesis import strategies as st
 
 from modsurf import hypgeo as hg
 from modsurf.hypgeo import (
-    GEN_S,
-    GEN_T,
     DegeneratePointError,
     Point,
     UnimodularMatrix,
@@ -22,14 +20,22 @@ from modsurf.hypgeo import (
     surface_distance,
 )
 
-from oracles import brute_force_surface_distance, distance, mobius_apply
+from oracles import (
+    GEN_S,
+    GEN_T,
+    brute_force_surface_distance,
+    distance,
+    inverse,
+    mobius_apply,
+    word,
+)
 
 
 def random_matrix(rng, steps=6) -> UnimodularMatrix:
-    g = hg.IDENTITY
+    g = word()
     for _ in range(steps):
         pick = rng.integers(0, 3)
-        g = g @ (GEN_S if pick == 0 else GEN_T if pick == 1 else GEN_T.inverse())
+        g = word(g, GEN_S if pick == 0 else GEN_T if pick == 1 else inverse(GEN_T))
     return g
 
 
@@ -60,7 +66,7 @@ class TestMobius:
         for _ in range(20):
             g, h = random_matrix(rng), random_matrix(rng)
             z = random_point(rng)
-            w1 = mobius_apply(g @ h, z)
+            w1 = mobius_apply(word(g, h), z)
             w2 = mobius_apply(g, mobius_apply(h, z))
             np.testing.assert_allclose((w1.x, w1.y), (w2.x, w2.y), rtol=1e-10)
 
@@ -238,7 +244,7 @@ class TestSurfaceDistance:
 # and words in S, T, T^-1
 COORDS = st.builds(lambda x, h: (x, math.sqrt(1.0 - x * x) + h),
                    st.floats(-0.5, 0.5), st.floats(0.0, 1.5))
-WORDS = st.lists(st.sampled_from([GEN_S, GEN_T, GEN_T.inverse()]), max_size=8)
+WORDS = st.lists(st.sampled_from([GEN_S, GEN_T, inverse(GEN_T)]), max_size=8)
 
 
 class TestSurfaceDistanceMatrixProperties:
@@ -247,16 +253,14 @@ class TestSurfaceDistanceMatrixProperties:
     @settings(max_examples=15, deadline=None, derandomize=True)
     @given(st.lists(COORDS, min_size=1, max_size=2), st.lists(COORDS, min_size=1, max_size=2),
            WORDS)
-    def test_symmetric_invariant_and_oracle(self, pts1, pts2, word):
+    def test_symmetric_invariant_and_oracle(self, pts1, pts2, letters):
         xs1, ys1 = hg.reduce_batch(*np.array(pts1).T)
         xs2, ys2 = hg.reduce_batch(*np.array(pts2).T)
         mat = hg.surface_distance_matrix(xs1, ys1, xs2, ys2)
         np.testing.assert_allclose(hg.surface_distance_matrix(xs2, ys2, xs1, ys1), mat.T,
                                    rtol=0, atol=1e-12)
 
-        g = hg.IDENTITY
-        for h in word:
-            g = g @ h
+        g = word(*letters)
         moved = [mobius_apply(g, Point(x, y)) for x, y in pts2]
         gx, gy = hg.reduce_batch(np.array([p.x for p in moved]), np.array([p.y for p in moved]))
         np.testing.assert_allclose(hg.surface_distance_matrix(xs1, ys1, gx, gy), mat,
@@ -288,10 +292,8 @@ class TestReduceProperties:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(st.lists(BOUNDARY, min_size=1, max_size=4), st.lists(INTERIOR, min_size=1, max_size=4),
            WORDS)
-    def test_agree_and_land_in_domain(self, pts, inner, word):
-        g = hg.IDENTITY
-        for h in word:
-            g = g @ h
+    def test_agree_and_land_in_domain(self, pts, inner, letters):
+        g = word(*letters)
         moved = [mobius_apply(g, Point(x, y)) for x, y in pts]
         bx, by = hg.reduce_batch(np.array([p.x for p in moved]), np.array([p.y for p in moved]))
         for p, x, y in zip(moved, bx, by):
@@ -314,8 +316,8 @@ class TestReduceProperties:
     def test_arc_tie_break_off_the_arc(self):
         # S T^-3 S T^-1 moves the corner to a point that reduces 2.2e-15
         # outside the unit circle; it still takes the x <= 0 representative
-        Ti = GEN_T.inverse()
-        g = GEN_S @ Ti @ Ti @ Ti @ GEN_S @ Ti
+        Ti = inverse(GEN_T)
+        g = word(GEN_S, Ti, Ti, Ti, GEN_S, Ti)
         assert g == UnimodularMatrix(-1, 1, -3, 2)
         z = mobius_apply(g, Point(-0.5, math.sqrt(3.0) / 2.0))
         r = reduce(z)

@@ -13,7 +13,7 @@ import pytest
 from modsurf import transform as tr
 from modsurf._gl import gl_panels
 from modsurf.cli import _BASE_POINTS
-from modsurf.hypgeo import Point, mobius_image, pair_u
+from modsurf.hypgeo import Point, canonical_sign, mobius_image, pair_u, reduce
 from modsurf.transform import (
     TransformParams,
     arsinh_moment,
@@ -115,31 +115,28 @@ class TestKernel:
             assert k_kernel(p.u_cutoff, p) < 1e-13 * k0
 
     @pytest.mark.parametrize("T", [1.0, 2.0])
-    def test_table_interpolates_in_rho(self, T):
-        # 0, the span up to u_cutoff, and on past the table's last rho
-        tab = tr._kernel_table(T)
-        rho_end_u = math.sinh(0.5 * tab.rho[-1]) ** 2
-        u = np.concatenate([[0.0], np.geomspace(1e-12, 2.0 * rho_end_u, 2000),
-                            np.linspace(0.0, tab.u_cutoff, 2001)])
-        before = u.copy()
-        k = tab.eval_u(u)
-        assert np.array_equal(u, before)
-        assert np.array_equal(k, np.interp(2.0 * np.arcsinh(np.sqrt(u)), tab.rho, tab.k, right=0.0))
-        assert k[u > rho_end_u].max() == 0.0 < k[u <= tab.u_cutoff].min()
-
-    @pytest.mark.parametrize("T", [1.0, 2.0])
     def test_cut_table_reads_zero_from_its_end(self, T):
-        # eval_u's values up to the knot rho_end, read off the evenly spaced
-        # knots instead of searched for, and exactly 0 from there on
+        # at the knots of kernel-mass's tiles and of automorphic_kernel's
+        # cutoff: np.interp's values up to the knot rho_end, read off the
+        # evenly spaced knots instead of searched for, exactly 0 from there
+        # on and past the table's end, and the caller's u left as it was
         tab = tr._kernel_table(T)
-        rho_end = tab.rho_at_level(tr._TILE_LEVEL)
-        u_end = math.sinh(0.5 * rho_end) ** 2
-        u = np.concatenate([[0.0], np.geomspace(1e-12, 4.0 * u_end, 4000),
-                            [2.0 * tab.u_cutoff]])
-        k = tab.cut_at(rho_end)(u)
-        inside = u < u_end * (1.0 - 1e-12)
-        assert np.abs(k[inside] - tab.eval_u(u[inside])).max() <= 1e-15 * tab.k0
-        assert k[u >= u_end].max() == 0.0 < k[inside].min()
+        for level in (tr._TILE_LEVEL, tr._CUTOFF_REL):
+            rho_end = tab.rho_at_level(level)
+            u_end = math.sinh(0.5 * rho_end) ** 2
+            u = np.concatenate([[0.0], np.geomspace(1e-12, 4.0 * u_end, 4000),
+                                [2.0 * math.sinh(0.5 * tab.rho[-1]) ** 2]])
+            before = u.copy()
+            k = tab.cut_at(rho_end)(u)
+            assert np.array_equal(u, before)
+            inside = u < u_end * (1.0 - 1e-12)
+            rho = 2.0 * np.arcsinh(np.sqrt(u[inside]))
+            assert np.abs(k[inside] - np.interp(rho, tab.rho, tab.k)).max() <= 1e-15 * tab.k0
+            assert k[u >= u_end].max() == 0.0 < k[inside].min()
+
+    def test_table_that_ends_too_early_raises(self):
+        with pytest.raises(ValueError, match="ends before"):
+            tr._kernel_table(1.0).rho_at_level(0.0)
 
     def test_bandwidth_validation(self):
         with pytest.raises(ValueError):
@@ -182,6 +179,14 @@ class TestArsinhMoment:
             prev = T * m
 
 
+# pairs (z, w) at which automorphic_kernel is checked against its direct sum
+_KERNEL_PAIRS = [
+    (Point(0.0, 1.0), Point(0.0, 2.0)),
+    (Point(0.13, 1.21), Point(-0.31, 1.73)),
+    (Point(0.3, 0.9), Point(0.1, 4.0)),
+]
+
+
 class TestAutomorphicKernel:
     def test_symmetry(self, params_t1):
         a = automorphic_kernel(Point(0, 1), Point(0, 2), params_t1)
@@ -200,6 +205,18 @@ class TestAutomorphicKernel:
         a = automorphic_kernel(z, w, params_t2)
         b = automorphic_kernel(z, Point(w.x + 1.0, w.y), params_t2)
         assert abs(a - b) < 1e-10
+
+    @pytest.mark.parametrize("T", [1.0, 2.0])
+    @pytest.mark.parametrize("z, w", _KERNEL_PAIRS)
+    def test_value_against_direct_sum(self, z, w, T):
+        # k_of_rho summed over the same orbit points; the gap is the linear
+        # table's bias, 6.8e-7 to 6.1e-6 relative
+        rho_cutoff = tr._kernel_table(T).rho_at_level(tr._CUTOFF_REL)
+        zr, wr = reduce(z), reduce(w)
+        u = pair_u(*mobius_image(*tr.ball_tiles(zr, rho_cutoff).T, zr.x, zr.y), wr.x, wr.y)
+        rho = 2.0 * np.arcsinh(np.sqrt(u))
+        direct = float(tr.k_of_rho(rho[rho < rho_cutoff], T).sum())
+        assert abs(automorphic_kernel(z, w, TransformParams(T)) - direct) <= 1e-5 * direct
 
     def test_surface_mass(self, params_t2):
         # T = 2 keeps the tile count small
@@ -290,6 +307,18 @@ class TestKernelMassRule:
         near = tr.kernel_mass_on_surface(Point(1e-6, 1.0 + 1e-6), params_t1)[0]
         assert _BASE_POINTS[0] == Point(0.0, 1.0)
         assert abs(near - masses[0]) <= 1e-9
+
+    def test_base_point_high_in_the_cusp(self, params_t2):
+        # the kernel spans only the first few s-nodes there; mass - 1 reads -9.75e-8
+        mass, _ = tr.kernel_mass_on_surface(Point(0.2, 60.0), params_t2)
+        assert abs(mass - 1.0) <= 2e-7
+
+    def test_large_bandwidth(self):
+        # at T = 8 the rule no longer resolves k as well: mass - 1 reads
+        # +3.06e-6, +3.04e-6 and +2.95e-6, against 9.6e-7 at T = 1
+        params = TransformParams(8.0)
+        for z in _BASE_POINTS:
+            assert abs(tr.kernel_mass_on_surface(z, params)[0] - 1.0) <= 5e-6
 
     def test_quadrature_order(self, masses, params_t1, monkeypatch):
         monkeypatch.setattr(tr, "_SURFACE_NODES", (6, 16))
@@ -401,7 +430,9 @@ class TestBallTilesComplete:
         bound = math.ceil(max(z.y, 1.0 / z.y) * math.sinh(rho)) + 8
         found = brute_force_ball_tiles(z, rho, bound)
         assert max(abs(e) for g in found for e in g) < bound
-        assert found <= set(map(tuple, tr.ball_tiles(z, rho).tolist()))
+        # ball_tiles lists gamma^-1 = (a, b; c, d), so gamma = (d, -b; -c, a)
+        listed = {canonical_sign(d, -b, -c, a) for a, b, c, d in tr.ball_tiles(z, rho).tolist()}
+        assert found <= listed
 
 
 class TestMollifier:
