@@ -17,15 +17,15 @@ package: ``mobius_image`` gives the image of a point array under a matrix
 (a, b; c, d) in real arithmetic, ``pair_u`` gives the one point-pair
 invariant u = sinh^2(rho/2), from which kernels and distances alike are
 taken, and ``polar_image`` gives geodesic polar coordinates about i.
-``surface_distance_matrix`` holds the only minimum over ``NEIGHBOR_MATS``;
-``surface_distance_to_point`` and ``surface_distance`` wrap it.
+``surface_distance_matrix`` holds the only minimum over ``NEIGHBOR_MATS``, moving
+the smaller point set; ``surface_distance_to_point`` and ``surface_distance`` wrap it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
+from itertools import product, repeat
 
 import numpy as np
 
@@ -161,8 +161,12 @@ def polar_image(u, theta) -> tuple[np.ndarray, np.ndarray]:
 
 def pair_u(x1, y1, x2, y2):
     """u = |z - w|^2 / (4 Im z Im w) for z = x1 + i y1, w = x2 + i y2; broadcasts."""
-    dx, dy = x1 - x2, y1 - y2
-    return (dx * dx + dy * dy) / (4.0 * y1 * y2)
+    # (dx dx + dy dy) / ((4 y1) y2) in place on dy, made in the broadcast shape
+    dx, dy = x1 - x2, np.subtract(y1, y2, out=np.empty(np.broadcast(x1, y1, x2, y2).shape))
+    dy *= dy
+    dy += dx * dx
+    dy /= 4.0 * y1 * y2
+    return dy[()]
 
 
 def surface_distance_to_point(xs: np.ndarray, ys: np.ndarray, z0: Point) -> np.ndarray:
@@ -172,21 +176,27 @@ def surface_distance_to_point(xs: np.ndarray, ys: np.ndarray, z0: Point) -> np.n
 
 
 def surface_distance_matrix(xs1, ys1, xs2, ys2) -> np.ndarray:
-    """All pairwise surface distances between two reduced atom sets.
+    """All pairwise surface distances between two reduced atom sets, as an (m, n) C array.
 
     For fundamental-domain representatives the minimum of rho(z, gamma w)
     over SL(2, Z) is attained within ``NEIGHBOR_MATS``; it is taken over u,
     which rises with rho, one matrix at a time, so the working set is a
-    single m x n slice.
+    single m x n slice.  As u(z, gamma w) = u(gamma^-1 z, w), with ``NEIGHBOR_MATS``
+    closed under inversion up to sign, the smaller set moves, in one ``mobius_image``
+    call: z by gamma^-1 = (d, -b; -c, a), or w by gamma.
     """
     xs1, ys1, xs2, ys2 = (np.asarray(v, dtype=float) for v in (xs1, ys1, xs2, ys2))
+    a, b, c, d = np.array(NEIGHBOR_MATS, dtype=float).T[:, :, None, None]
+    if len(xs1) <= len(xs2):
+        zw = zip(*mobius_image(d, -b, -c, a, xs1[:, None], ys1[:, None]), repeat(xs2), repeat(ys2))
+    else:
+        zw = zip(repeat(xs1[:, None]), repeat(ys1[:, None]), *mobius_image(a, b, c, d, xs2, ys2))
     best = np.full((len(xs1), len(xs2)), np.inf)
-    for a, b, c, d in NEIGHBOR_MATS:
-        gx, gy = mobius_image(a, b, c, d, xs2, ys2)
+    for x1, y1, x2, y2 in zw:
         # u stays bound until the next slice replaces it: freeing each slice
         # at once lets malloc hand its pages back and fault them in again,
         # which made 385 x 1201 about 1.6x slower
-        u = pair_u(xs1[:, None], ys1[:, None], gx, gy)
+        u = pair_u(x1, y1, x2, y2)
         np.minimum(best, u, out=best)
     return 2.0 * np.arcsinh(np.sqrt(best))
 

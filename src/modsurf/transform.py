@@ -19,7 +19,8 @@ kernel sums take u(z, gamma w) = u(gamma^-1 z, w): one ``mobius_image`` call
 on those rows gives the preimages gamma^-1 z, ``pair_u`` pairs them with w,
 and both read k from the one lookup of its table, ``_KernelTable.cut_at``.
 The surface mass integrates a product Gauss-Legendre rule below y = 50, each
-tile only on the nodes in a box around the ball of its preimage, and the
+tile only on the nodes in a box around the ball of its preimage, adding its
+terms level after level in each column, then column after column, and the
 region above y = 50 in closed form, unfolded over the cosets of the
 translations, which ``_coset_rows`` lists for it and for ``ball_tiles``.
 """
@@ -149,9 +150,11 @@ class _KernelTable:
     """Dense tabulation of k on the geodesic scale, read by ``cut_at``."""
 
     def __init__(self, T: float):
+        # k up to the first block that ends below _CUTOFF_REL k(0), the lowest level read
         self.rho = np.linspace(0.0, 12.0 / T + 3.0, _TABLE_POINTS)
-        self.k = np.concatenate([k_of_rho(self.rho[i:i + _TABLE_BLOCK], T)
-                                 for i in range(0, _TABLE_POINTS, _TABLE_BLOCK)])
+        self.k = k_of_rho(self.rho[:_TABLE_BLOCK], T)
+        while self.k[-1] >= _CUTOFF_REL * self.k[0] and len(self.k) < _TABLE_POINTS:
+            self.k = np.append(self.k, k_of_rho(self.rho[len(self.k):][:_TABLE_BLOCK], T))
         self.k0 = float(self.k[0])
 
     def rho_at_level(self, rel: float) -> float:
@@ -164,8 +167,9 @@ class _KernelTable:
     def cut_at(self, rho_end: float):
         """k of u >= 0, linear in rho between the knots up to the knot rho_end and 0 from it on.
 
-        The knots are evenly spaced, so each u's segment is read off its rho;
-        the returned function leaves its argument unchanged.
+        The knots are evenly spaced: each u's segment j is read off its rho, and
+        k[j] + slope[j] (rho - rho_j) found in place on rho, the knot values taken
+        into one more array (mode "clip" is not buffered); u is left unchanged.
         """
         end = int(np.searchsorted(self.rho, rho_end))
         k = np.append(self.k[:end], 0.0)
@@ -176,8 +180,12 @@ class _KernelTable:
             rho = np.sqrt(u)
             np.arcsinh(rho, out=rho)
             rho *= 2.0
-            j = np.minimum(rho * scale, end).astype(np.intp)
-            return k[j] + slope[j] * (rho - self.rho[j])
+            knot = np.minimum(rho * scale, end)
+            j = knot.astype(np.intp)
+            rho -= np.take(self.rho, j, out=knot, mode="clip")
+            rho *= np.take(slope, j, out=knot, mode="clip")
+            rho += np.take(k, j, out=knot, mode="clip")
+            return rho
 
         return k_of_u
 
@@ -334,6 +342,14 @@ def _cusp_mass(y, T: float) -> np.ndarray:
     return 0.5 * np.array([math.erfc(a) for a in arg.tolist()])
 
 
+def _tile_sums(terms: np.ndarray) -> np.ndarray:
+    """Tile sums of a (level, tile, column) array: levels in order per column, then columns."""
+    # np.add.reduce adds the levels in order, except on a (tile, column) plane
+    # of one node: numpy then makes them its inner axis, which it adds pairwise
+    cols = np.add.reduce(terms, axis=0) if terms[0].size > 1 else np.cumsum(terms, axis=0)[-1]
+    return np.cumsum(cols, axis=1)[:, -1]
+
+
 def kernel_mass_on_surface(z: Point, params: "TransformParams") -> tuple[float, float]:
     """Quadrature of int over the surface of K(z, w) dmu(w); equals 1.
 
@@ -354,10 +370,10 @@ def kernel_mass_on_surface(z: Point, params: "TransformParams") -> tuple[float, 
     found by ``searchsorted``, and every node outside this box reads k = 0
     exactly from the cut table.  Boxes of one column count are folded in
     blocks, padded to the tallest with such nodes; each tile's terms are
-    added in node order and the tile sums in tile order, on up to one
+    added by ``_tile_sums`` and the tile sums in tile order, on up to one
     thread per CPU in the process's affinity mask.  So the mass is
     bit-identical to folding every tile's preimage over every node of the
-    rule, whatever the thread counts of the fold and of OpenBLAS.
+    rule in that order, whatever the thread counts of the fold and of OpenBLAS.
     """
     tab = _kernel_table(params.T)
     zr = reduce(z)
@@ -399,15 +415,14 @@ def kernel_mass_on_surface(z: Point, params: "TransformParams") -> tuple[float, 
     def fold(my_blocks):
         try:
             for blk in my_blocks:
-                # n_r levels from l0, moved down where they would pass the last
+                # (level, tile, column): n_r levels from l0, moved down if past the last
                 n_r, n_c = rows[blk[-1]], cols[blk[0]]
-                cc = (c0[blk, None] + np.arange(n_c))[:, None, :]
-                lev = np.minimum(l0[blk], n_s - n_r)[:, None] + np.arange(n_r)
+                cc = c0[blk, None] + np.arange(n_c)
+                lev = np.minimum(l0[blk], n_s - n_r) + np.arange(n_r)[:, None]
                 node = lev[:, :, None] * n_x + cc
-                u = pair_u(px[blk, None, None], py[blk, None, None], x_col[cc], y_flat[node])
-                terms = (w_flat[node] * k_of_u(u)).reshape(len(blk), -1)
-                # np.cumsum adds left to right, where np.sum would add pairwise
-                tile_sums[blk] = np.cumsum(terms, axis=1)[:, -1]
+                terms = k_of_u(pair_u(px[blk, None], py[blk, None], x_col[cc], y_flat[node]))
+                terms *= w_flat[node]
+                tile_sums[blk] = _tile_sums(terms)
         except Exception as exc:  # raised again by the calling thread after the joins
             errors.append(exc)
 

@@ -169,18 +169,19 @@ def full_grid_kernel_mass(z: Point, params, by_images: bool = False) -> tuple[fl
     """``kernel_mass_on_surface`` with every tile folded over every node of its rule.
 
     Evaluates u(z, gamma w) at all nodes of the product rule for each tile
-    and adds its terms one after another in node order; no preimage ball
-    selects the nodes.  u is u(gamma^-1 z, w) from the preimages of z, as in
-    the implementation, and the cusp term reads the cosets from
-    ``_coset_rows``; or with ``by_images`` u is the independent route
-    u(z, gamma w) from the Mobius images of the nodes under gamma, inverted
-    from the rows gamma^-1 of ``ball_tiles``, and the cosets are the distinct
-    bottom rows of those rows, at Im z / |rz + s|^2 in complex arithmetic.
+    and adds its terms level after level in each column, then column after
+    column, both by np.cumsum; no preimage ball selects the nodes.  u is
+    u(gamma^-1 z, w) from the preimages of z, as in the implementation, and
+    the cusp term reads the cosets from ``_coset_rows``; or with
+    ``by_images`` u is the independent route u(z, gamma w) from the Mobius
+    images of the nodes under gamma, inverted from the rows gamma^-1 of
+    ``ball_tiles``, and the cosets are the distinct bottom rows of those
+    rows, at Im z / |rz + s|^2 in complex arithmetic.
     """
     tab = _kernel_table(params.T)
     zr = reduce(z)
     x, _s, _span, y2, w2 = tr._surface_rule()
-    xs, ys, wmu = np.broadcast_to(x, y2.shape).ravel(), y2.ravel(), w2.ravel()
+    xs, ys = np.broadcast_to(x, y2.shape), y2
     rho_tile = tab.rho_at_level(tr._TILE_LEVEL)
     k_of_u = tab.cut_at(rho_tile)
     inverses = ball_tiles(zr, rho_tile)
@@ -194,7 +195,7 @@ def full_grid_kernel_mass(z: Point, params, by_images: bool = False) -> tuple[fl
             u = pair_u(*mobius_image(d, -b, -c, a, xs, ys), zr.x, zr.y)
         else:
             u = pair_u(px[k], py[k], xs, ys)
-        tile_sums.append(np.cumsum(wmu * k_of_u(u))[-1])
+        tile_sums.append(np.cumsum(np.cumsum(w2 * k_of_u(u), axis=0)[-1])[-1])
     if by_images:
         rows = {max((c, d), (-c, -d)) for _a, _b, c, d in inverses.tolist()}
         heights = [zr.y / abs(r * complex(zr.x, zr.y) + s) ** 2 for r, s in sorted(rows)]

@@ -91,6 +91,21 @@ class TestDistanceAndU:
             s = math.sinh(0.5 * distance(z, w)) ** 2
             assert abs(u - s) <= 1e-12 * max(1.0, u)
 
+    def test_u_in_place_keeps_the_bits_and_the_arguments(self):
+        # (dx dx + dy dy) / ((4 y1) y2) on broadcast shapes, among them one
+        # where y1 - y2 is narrower than the result; scalars give a float
+        rng = np.random.default_rng(3)
+        x1, y1 = rng.uniform(-2, 2, (5, 1)), np.exp(rng.uniform(-1, 2, (5, 1)))
+        x2, y2 = rng.uniform(-2, 2, 7), np.exp(rng.uniform(-1, 2, 7))
+        for args in [(x1, y1, x2, y2), (x2, y2, x1, y1), (x1, y1[0, 0], x2, y2[0]),
+                     (x1, y1, x2, y1), (x2[0], y2[0], x1[0, 0], y1[0, 0])]:
+            before = [np.copy(a) for a in args]
+            a, b, c, d = args
+            assert np.array_equal(pair_u(*args), ((a - c) * (a - c) + (b - d) * (b - d))
+                                  / (4.0 * b * d))
+            assert all(np.array_equal(a, b) for a, b in zip(args, before))
+        assert isinstance(pair_u(0.1, 1.0, 0.2, 2.0), float)
+
     def test_isometry_invariance(self):
         rng = np.random.default_rng(2)
         for _ in range(200):
@@ -237,6 +252,53 @@ class TestSurfaceDistance:
             for j in range(6):
                 d = surface_distance(Point(xs1[i], ys1[i]), Point(xs2[j], ys2[j]))
                 assert abs(mat[i, j] - d) < 1e-12
+
+
+def _image_side_distances(xs1, ys1, xs2, ys2):
+    """Surface distances from the images of the second set under every gamma in NEIGHBOR_MATS."""
+    best = np.full((len(xs1), len(xs2)), np.inf)
+    for a, b, c, d in hg.NEIGHBOR_MATS:
+        gx, gy = hg.mobius_image(a, b, c, d, xs2, ys2)
+        best = np.minimum(best, pair_u(xs1[:, None], ys1[:, None], gx, gy))
+    return 2.0 * np.arcsinh(np.sqrt(best))
+
+
+def _reduced_points(rng, n):
+    return hg.reduce_batch(rng.uniform(-2, 2, n), np.exp(rng.uniform(-1.5, 2.0, n)))
+
+
+class TestSurfaceDistanceMatrixSides:
+    """The smaller set takes the Mobius maps: against the image side, transposed, and counted."""
+
+    def test_neighbor_mats_closed_under_inversion(self):
+        mats = set(hg.NEIGHBOR_MATS)
+        assert {hg.canonical_sign(d, -b, -c, a) for a, b, c, d in mats} == mats
+
+    @pytest.mark.parametrize("m, n", [(1, 400), (60, 400), (400, 60), (1, 1), (50, 50)])
+    def test_matches_the_image_side(self, m, n):
+        rng = np.random.default_rng(m * 1000 + n)
+        (xs1, ys1), (xs2, ys2) = _reduced_points(rng, m), _reduced_points(rng, n)
+        mat = hg.surface_distance_matrix(xs1, ys1, xs2, ys2)
+        assert np.abs(mat - _image_side_distances(xs1, ys1, xs2, ys2)).max() <= 1e-15
+        if m != n:
+            assert np.array_equal(hg.surface_distance_matrix(xs2, ys2, xs1, ys1), mat.T)
+
+    @pytest.mark.parametrize("m, n", [(1, 50), (30, 7), (7, 30), (9, 9)])
+    def test_one_mobius_call_on_the_smaller_set(self, m, n, monkeypatch):
+        moved, mobius_image = [], hg.mobius_image
+
+        def counted(a, b, c, d, xs, ys):
+            moved.append((np.ravel(xs), np.ravel(ys)))
+            return mobius_image(a, b, c, d, xs, ys)
+
+        rng = np.random.default_rng(4)
+        (xs1, ys1), (xs2, ys2) = _reduced_points(rng, m), _reduced_points(rng, n)
+        monkeypatch.setattr(hg, "mobius_image", counted)
+        mat = hg.surface_distance_matrix(xs1, ys1, xs2, ys2)
+        assert len(moved) == 1
+        smaller = (xs1, ys1) if m <= n else (xs2, ys2)
+        assert all(np.array_equal(got, want) for got, want in zip(moved[0], smaller))
+        assert mat.shape == (m, n) and mat.flags.c_contiguous
 
 
 # points of the fundamental domain as x and the height above its floor arc

@@ -131,12 +131,33 @@ class TestKernel:
             assert np.array_equal(u, before)
             inside = u < u_end * (1.0 - 1e-12)
             rho = 2.0 * np.arcsinh(np.sqrt(u[inside]))
-            assert np.abs(k[inside] - np.interp(rho, tab.rho, tab.k)).max() <= 1e-15 * tab.k0
+            knots = tab.rho[:len(tab.k)]
+            assert np.abs(k[inside] - np.interp(rho, knots, tab.k)).max() <= 1e-15 * tab.k0
             assert k[u >= u_end].max() == 0.0 < k[inside].min()
 
     def test_table_that_ends_too_early_raises(self):
         with pytest.raises(ValueError, match="ends before"):
             tr._kernel_table(1.0).rho_at_level(0.0)
+
+    @pytest.mark.parametrize("T", [1.0, 2.0])
+    def test_table_is_built_as_far_as_it_is_read(self, T):
+        # whole blocks up to the first that ends below _CUTOFF_REL k(0), the
+        # same bits as the blocks of the whole table; rho keeps every knot
+        tab, block = tr._kernel_table(T), tr._TABLE_BLOCK
+        n = len(tab.k)
+        assert len(tab.rho) == tr._TABLE_POINTS > n and n % block == 0
+        assert tab.k[n - 1] < tr._CUTOFF_REL * tab.k0 <= tab.k[n - block - 1]
+        whole = np.concatenate([tr.k_of_rho(tab.rho[i:i + block], T)
+                                for i in range(0, tr._TABLE_POINTS, block)])
+        assert np.array_equal(tab.k, whole[:n])
+        if T == 1.0:
+            assert n == 3328
+        # a level the computed knots do not reach raises, though the whole
+        # table would have reached it
+        level = 0.5 * tab.k[-1] / tab.k0
+        assert whole.min() < level * tab.k0
+        with pytest.raises(ValueError, match="ends before"):
+            tab.rho_at_level(level)
 
     def test_bandwidth_validation(self):
         with pytest.raises(ValueError):
@@ -265,6 +286,51 @@ class TestKernelMassByPreimageBalls:
             calls.clear()
             tr.kernel_mass_on_surface(z, params_t2)
             assert len(calls) == 2
+
+
+def _two_level_loop(terms):
+    """Each tile's sum of a (level, tile, column) array: its levels in each column, then columns."""
+    sums = []
+    for tile in np.moveaxis(terms, 1, 0).tolist():
+        total = 0.0
+        for c in range(len(tile[0])):
+            column = 0.0
+            for level in tile:
+                column += level[c]
+            total += column
+        sums.append(total)
+    return sums
+
+
+class TestTileSumOrder:
+    """The fold's per-tile sums against an explicit two-level Python loop."""
+
+    @pytest.mark.parametrize("shape", [(1, 1, 1), (9, 1, 1), (200, 1, 1), (1, 5, 1), (1, 1, 9),
+                                       (1, 4, 7), (200, 3, 1), (130, 1, 2), (9, 1, 20),
+                                       (40, 6, 5)])
+    def test_shapes(self, shape):
+        # terms over sixteen decades, so any other order changes the bits
+        rng = np.random.default_rng(sum(shape))
+        terms = rng.random(shape) * 10.0 ** rng.integers(-8, 8, shape)
+        assert tr._tile_sums(terms).tolist() == _two_level_loop(terms)
+
+    def test_edge_shapes_of_the_fold(self, params_t2, monkeypatch):
+        # boxes of one column, of one level and blocks of one tile occur in
+        # the fold at _MASS_POINTS, and one block of one tile of one column
+        shapes, tile_sums = [], tr._tile_sums
+
+        def pinned(terms):
+            if 1 in terms.shape:
+                shapes.append(terms.shape)
+                assert tile_sums(terms).tolist() == _two_level_loop(terms)
+            return tile_sums(terms)
+
+        monkeypatch.setattr(tr, "_tile_sums", pinned)
+        for z in _MASS_POINTS:
+            tr.kernel_mass_on_surface(z, params_t2)
+        n_levels, n_tiles, n_columns = zip(*shapes)
+        assert 1 in n_levels and 1 in n_tiles and 1 in n_columns
+        assert (1, 1) in zip(n_tiles, n_columns)
 
 
 def _direct_cusp_mass(Y, T):
