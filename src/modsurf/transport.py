@@ -8,7 +8,9 @@ with positive flows, and Prim's rule joins it with zero-flow row arcs.  A
 pivot re-hangs and re-prices only the subtree cut off by the leaving arc, and
 the final potentials are returned as a dual certificate.
 Each epsilon level of the entropic approximation runs one log-domain Sinkhorn
-sweep, then Newton ascent on the dual; self-transport terms debias it.
+sweep, then Newton ascent on the dual; self-transport terms, which run one
+averaged update per level and converge only at the last, debias it.  Plan
+entries below e^_EXP_FLOOR a_i b_j are 0, so none is subnormal.
 Kantorovich-Rubinstein dual lower bounds come from an explicit family of
 clipped-distance Lipschitz functions.
 """
@@ -31,6 +33,7 @@ _SUPPORT_LIMIT = 2000  # combined atom count for w1_exact and w1_sinkhorn
 _RC_TOL = 1e-11  # reduced-cost optimality tolerance
 _PRICING_BLOCK = 4.0  # most cells in a pricing block, in units of sqrt(m n)
 _START_EPS, _START_SWEEPS = 0.05, 10  # Sinkhorn sweeps that key w1_exact's start
+_EXP_FLOOR = -300.0  # entropic exponents below this give 0, never a subnormal
 
 
 class SupportLimitError(AtomLimitError):
@@ -309,9 +312,12 @@ def _eps_ladder(reg):
 
 
 def _lse(z, axis):
-    """log(sum(exp(z))) along ``axis``, shifted by the maximum there; overwrites ``z``."""
+    """log(sum(exp(z))) along ``axis``, shifted by the maximum there; overwrites ``z``.
+    Shifted terms below _EXP_FLOOR count as e^_EXP_FLOOR, which keeps ``exp`` off its slow
+    subnormal path; the largest term is 1, and 2,000 terms of 5e-131 cannot move it."""
     top = z.max(axis=axis)
     z -= np.expand_dims(top, axis)
+    np.maximum(z, _EXP_FLOOR, out=z)
     return top + np.log(np.exp(z, out=z).sum(axis=axis))
 
 
@@ -331,6 +337,19 @@ def _warn_violation(pi, a, b):
                       SinkhornWarning, stacklevel=4)
 
 
+def _plan(f, g, cost, eps, logab):
+    """a_i b_j exp((f_i + g_j - c_ij) / eps), ``logab`` = log a_i + log b_j, with exponents
+    capped at 300, and 0 where (f_i + g_j - c_ij) / eps < _EXP_FLOOR: the floor is relative
+    to a_i b_j, so that an atom of tiny weight keeps its row."""
+    z = (f[:, None] + g[None, :] - cost) / eps
+    drop = z < _EXP_FLOOR
+    np.maximum(z, _EXP_FLOOR, out=z)
+    z += logab
+    pi = np.exp(np.minimum(z, 300.0, out=z), out=z)  # an m x n temporary costs as much as exp
+    pi[drop] = 0.0
+    return pi
+
+
 def _newton_dual(a, b, cost, eps, f, g):
     """Entropic plan at ``eps`` and its potentials, by Newton ascent on the dual from (f, g).
 
@@ -347,15 +366,11 @@ def _newton_dual(a, b, cost, eps, f, g):
     below 1e-13 or below the rounding of the exponents (unit roundoff times
     sum_ij pi_ij (|f_i| + |g_j| + c_ij) / eps, about 1e-12 at reg = 1e-4),
     or when backtracking falls below a step of 1e-10.  Exponents are capped
-    at 300, so that no sum over the plan of a long trial step overflows.
-    Returns (pi, f, g).
+    at 300, so that no sum over the plan of a long trial step overflows, and
+    floored (:func:`_plan`), so that no Schur product is subnormal.  Returns (pi, f, g).
     """
     logab = np.log(a)[:, None] + np.log(b)[None, :]
-
-    def plan(f, g):
-        return np.exp(np.minimum((f[:, None] + g[None, :] - cost) / eps + logab, 300.0))
-
-    pi = plan(f, g)
+    pi = _plan(f, g, cost, eps, logab)
     for _ in range(500):  # step bound; the stopping rules end the loop long before it
         r, c = pi.sum(axis=1), pi.sum(axis=0)
         ga, gb = a - r, b - c
@@ -370,7 +385,7 @@ def _newton_dual(a, b, cost, eps, f, g):
         slope, ascent = float(ga @ df + gb @ dg), float(a @ df + b @ dg)
         t = 1.0
         while t >= 1e-10:
-            pi_t = plan(f + t * df, g + t * dg)
+            pi_t = _plan(f + t * df, g + t * dg, cost, eps, logab)
             if t * ascent - eps * float((pi_t - pi).sum()) >= 1e-4 * t * slope:
                 break
             t *= 0.5
@@ -417,20 +432,22 @@ def _sym_self_plan_cost(a, cost, reg):
 
     The self problem can be degenerate (near-duplicate atoms); the
     averaged update on a single potential is robust where alternating
-    projections crawl.
+    projections crawl (Feydy et al. 2019).  Each level's kernel
+    log a_j - c_ij / eps is built once.  A level above ``reg`` only
+    warm-starts the next, so it runs one update; the last iterates, up to
+    _SELF_ITERS updates, until no potential moves by 1e-13 * max(1, reg).
     """
     loga = np.log(a)
-    n = len(a)
-    f = np.zeros(n)
+    f = np.zeros(len(a))
     for eps in _eps_ladder(reg):
-        for it in range(_SELF_ITERS):
-            lse = _lse((f[None, :] - cost) / eps + loga[None, :], axis=1)
-            f_new = 0.5 * f + 0.5 * (-eps * lse)  # averaged fixed-point update
+        kern = loga - cost / eps
+        for _ in range(_SELF_ITERS if eps == reg else 1):
+            f_new = 0.5 * f + 0.5 * (-eps * _lse(f / eps + kern, axis=1))  # averaged update
             delta = float(np.abs(f_new - f).max())
             f = f_new
             if delta < 1e-13 * max(1.0, eps):
                 break
-    pi = np.exp((f[:, None] + f[None, :] - cost) / reg + loga[:, None] + loga[None, :])
+    pi = _plan(f, f, cost, reg, loga[:, None] + loga[None, :])
     _warn_violation(pi, a, a)
     pi = _round_to_feasible(pi, a, a)
     return float((pi * cost).sum())

@@ -477,6 +477,41 @@ def haar_pair(seed):
     return haar_sample(rng, 200), haar_sample(rng, 200)
 
 
+def near_duplicate_pair():
+    """A 100-atom Haar sample with each atom doubled 1e-9 above itself, against a
+    100-atom Haar sample: a degenerate self term."""
+    rng = np.random.default_rng(12)
+    m, other = haar_sample(rng, 100), haar_sample(rng, 100)
+    return DiscreteMeasure(np.tile(m.xs, 2), np.concatenate([m.ys, m.ys + 1e-9]),
+                           np.tile(m.weights, 2) / 2), other
+
+
+def tiny_weight_pair():
+    """60 atoms, one of weight 1e-200, against 60 atoms: a row that sits below any
+    absolute floor on the plan's entries."""
+    rng = np.random.default_rng(13)
+    m, other = random_measure(rng, 60), random_measure(rng, 60)
+    w = m.weights.copy()
+    w[0] = 0.0
+    w /= w.sum()
+    w[0] = 1e-200
+    return DiscreteMeasure(m.xs, m.ys, w), other
+
+
+# (pair, reg, _sinkhorn_plan_cost, w1_sinkhorn), recorded before plans had an exponent
+# floor and upper self-term levels ran to convergence
+PINNED = [
+    ("haar", 1e-3, 0.30238019754941614, 0.30237761966747034),
+    ("haar", 1e-4, 0.30203919882033287, 0.3020391988203096),
+    ("criterion-5", 1e-3, 0.08502279449805966, 0.08502168143515083),
+    ("near-duplicate", 1e-3, 0.15381152488743235, 0.15380710423409774),
+    ("near-duplicate", 1e-4, 0.1536444262916235, 0.15364441766701462),
+    ("tiny-weight", 1e-3, 0.1315325359403864, 0.13153241998520876),
+]
+PAIRS = {"haar": lambda: haar_pair(7), "criterion-5": criterion_5_pair,
+         "near-duplicate": near_duplicate_pair, "tiny-weight": tiny_weight_pair}
+
+
 class TestSinkhornNewton:
     """The entropic plan against plain log-domain Sinkhorn, and the Newton
     ladder's convergence on 200-atom instances."""
@@ -539,6 +574,73 @@ class TestSinkhornNewton:
         m = DiscreteMeasure(np.zeros(2000), np.linspace(1.0, 3.0, 2000), np.full(2000, 1 / 2000))
         with pytest.raises(SupportLimitError):
             solver(m, DELTA_I)
+
+    @pytest.mark.parametrize("reg", [1e-3, 1e-4], ids=["1e-3", "1e-4"])
+    def test_no_subnormal_arithmetic(self, reg, monkeypatch):
+        """No plan entry is subnormal, and exp never sees an argument whose result would be."""
+        tiny, plans, lowest = np.finfo(float).tiny, [], [0.0]
+        newton, to_feasible, exp = transport._newton_dual, transport._round_to_feasible, np.exp
+
+        def kept_newton(*args):
+            pi, f, g = newton(*args)
+            plans.append(pi)
+            return pi, f, g
+
+        def kept_rounding(pi, a, b):
+            plans.append(to_feasible(pi, a, b))
+            return plans[-1]
+
+        def watched_exp(x, *args, **kwargs):
+            lowest[0] = min(lowest[0], float(np.min(x)))
+            return exp(x, *args, **kwargs)
+
+        monkeypatch.setattr(transport, "_newton_dual", kept_newton)
+        monkeypatch.setattr(transport, "_round_to_feasible", kept_rounding)
+        mA, mB = haar_pair(7)
+        monkeypatch.setattr(np, "exp", watched_exp)
+        w1_sinkhorn(mA, mB, reg)
+        monkeypatch.setattr(np, "exp", exp)
+        assert len(plans) == len(_eps_ladder(reg)) + 3  # every level's plan, three rounded
+        assert sum(int(((pi > 0) & (pi < tiny)).sum()) for pi in plans) == 0
+        assert lowest[0] >= -708.0
+
+    @pytest.mark.parametrize("name, reg, cross, value", PINNED,
+                             ids=[f"{p[0]}-{p[1]:g}" for p in PINNED])
+    def test_values_pinned(self, name, reg, cross, value):
+        """The floor drops only entries below one ulp of every sum, so the cross term keeps
+        its bits; self terms that stop iterating above ``reg`` move by at most 1e-10."""
+        mA, mB = PAIRS[name]()
+        cost = cost_matrix(mA, mB).entries
+        assert _sinkhorn_plan_cost(mA.weights, mB.weights, cost, reg) == cross
+        assert abs(w1_sinkhorn(mA, mB, reg) - value) <= 1e-10
+
+    def test_lse_floor_keeps_the_bits(self):
+        rng = np.random.default_rng(39)
+        # 2,000 terms a row, down to about 5000 below the row's largest, most of them near it
+        z = -5000.0 * rng.random((40, 2000)) ** 4 + rng.uniform(-50.0, 50.0, (40, 1))
+        for axis, zz in ((1, z), (0, z.T.copy())):
+            top = zz.max(axis=axis)
+            plain = top + np.log(np.exp(zz - np.expand_dims(top, axis)).sum(axis=axis))
+            assert np.array_equal(transport._lse(zz.copy(), axis), plain)
+
+    @pytest.mark.parametrize("reg", [1e-3, 1e-4], ids=["1e-3", "1e-4"])
+    @pytest.mark.parametrize("pair", ["haar", "near-duplicate"])
+    def test_self_term_last_level_converges_fast(self, pair, reg, monkeypatch):
+        """One update at each level above ``reg``; the last level stops within 100 updates,
+        with no SinkhornWarning, also on near-duplicate atoms."""
+        lse, calls = transport._lse, [0]
+
+        def counted(z, axis):
+            calls[0] += 1
+            return lse(z, axis)
+
+        monkeypatch.setattr(transport, "_lse", counted)
+        for m in PAIRS[pair]():
+            calls[0] = 0
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                transport._sym_self_plan_cost(m.weights, cost_matrix(m, m).entries, reg)
+            assert calls[0] - (len(_eps_ladder(reg)) - 1) <= 100
 
     def test_self_terms_report_non_convergence(self, monkeypatch):
         monkeypatch.setattr(transport, "_SELF_ITERS", 1)
